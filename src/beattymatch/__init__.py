@@ -11,6 +11,7 @@ from .beatty import (
     is_mismatch,
     mismatch_epsilon,
     mismatch_set,
+    mismatches_between,
     recover_k,
 )
 from .cutproject import (
@@ -25,6 +26,7 @@ from .gfib import DEFAULT_LENGTH, GFib, verify_power_identity
 from .units import (
     DomainError,
     Family,
+    InvariantError,
     QuadraticUnit,
     UnitMismatch,
     ZBeta,
@@ -40,6 +42,7 @@ __all__ = [
     "DomainError",
     "Family",
     "GFib",
+    "InvariantError",
     "LatticePoint",
     "MismatchRecord",
     "NotAMismatch",
@@ -61,6 +64,7 @@ __all__ = [
     "make_unit",
     "mismatch_epsilon",
     "mismatch_set",
+    "mismatches_between",
     "recover_k",
     "render_report",
     "run_suites",

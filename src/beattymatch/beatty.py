@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .gfib import GFib
-from .units import Family, QuadraticUnit, UnitMismatch, beta_pow
+from .units import Family, InvariantError, QuadraticUnit, UnitMismatch, beta_pow
 
 
 class NotAMismatch(ValueError):
@@ -93,33 +93,82 @@ def is_mismatch(unit: QuadraticUnit, table: GFib, i: int, j: int) -> bool:
     return unit.pair_sign(-f - 1 + p.a, j + p.b) >= 0
 
 
-def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:
-    """Closed-form enumeration of the exceptional positions for indices
-    k_lo..k_hi, sorted by position.
+def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int], int]:
+    """The closed form k |-> j(k) of the exceptional positions at level i.
 
     Family a: j = k*G_{i+1} + floor(k*beta)*G_i for k != 0; the k = 0
-    slot contributes 0 at even i and the extra element -G_i at odd i.
+    slot holds 0 at even i and the extra element -G_i at odd i.
     Family b: j = k*G_{i+1} - (floor(k*beta) + 1)*G_i for every k.
+    j(k) is strictly increasing in k, the k = 0 slot included: a step
+    is at least G_{i+1} (family a) or G_{i+1} - G_i > 0 (family b).
+    The table is read once per level, not once per k; G_{i+1} comes
+    from the recurrence, so the table need only reach G_i.
+    """
+    prev, cur = table[i - 1], table[i]
+    fm = unit.floor_mul
+    if unit.family is Family.MINUS:
+        succ = unit.m * cur - prev
+        return lambda k: k * succ - (fm(k) + 1) * cur
+    succ = unit.m * cur + prev
+    slot0 = -cur if i % 2 else 0
+    return lambda k: k * succ + fm(k) * cur if k else slot0
+
+
+def _is_special(unit: QuadraticUnit, i: int, k: int) -> bool:
+    """Whether slot k holds the extra element -G_i (family a, odd i)."""
+    return k == 0 and i % 2 == 1 and unit.family is Family.PLUS
+
+
+def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
+    """The largest k with j(k) <= x, from a constant number of floors.
+
+    G_{i+1} + G_i*beta = beta**-i (family a) and G_{i+1} - G_i*beta =
+    beta**-i (family b) turn the closed forms into
+    beta**i * j(k) = k - beta**i*G_i*r with r = frac(k*beta) (family a,
+    k != 0), r = 1 (the odd-level extra element) or r = 1 - frac(k*beta)
+    (family b).  So |beta**i * j(k) - k| <= beta**i*G_i < 1, which puts
+    the answer at floor(beta**i * x) or one above it: starting there, a
+    single correcting step is the most ever taken.
+    """
+    pos = _position(unit, table, i)
+    k = (beta_pow(unit, table, i) * x).floor()
+    for _ in range(3):
+        if pos(k) > x:
+            k -= 1
+        elif pos(k + 1) <= x:
+            k += 1
+        else:
+            return k
+    raise InvariantError(f"{unit} i={i}: index bracket for j <= {x} moved more than two steps, to k={k}")
+
+
+def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:
+    """Closed-form enumeration of the exceptional positions for indices
+    k_lo..k_hi, sorted by position (see :func:`_position`).
+
+    The extra element -G_i of family a at odd i fills the k = 0 slot and
+    carries k = None.
     """
     _require(table, unit, i, need_next=True)
     if k_lo > k_hi:
         raise ValueError(f"index range {k_lo}..{k_hi} is empty")
     eps = mismatch_epsilon(unit, i)
-    succ, cur = table[i + 1], table[i]
-    records = []
-    for k in range(k_lo, k_hi + 1):
-        if unit.family is Family.MINUS:
-            j = k * succ - (unit.floor_mul(k) + 1) * cur
-            records.append(MismatchRecord(j, k, eps))
-        elif k != 0:
-            j = k * succ + unit.floor_mul(k) * cur
-            records.append(MismatchRecord(j, k, eps))
-        elif i % 2:
-            records.append(MismatchRecord(-cur, None, eps))
-        else:
-            records.append(MismatchRecord(0, 0, eps))
-    records.sort(key=lambda r: r.j)
+    pos = _position(unit, table, i)
+    records = [MismatchRecord(pos(k), k, eps) for k in range(k_lo, k_hi + 1)]
+    if _is_special(unit, i, 0) and k_lo <= 0 <= k_hi:
+        records[-k_lo] = MismatchRecord(pos(0), None, eps)
     return records
+
+
+def mismatches_between(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> list[MismatchRecord]:
+    """The closed-form exceptional positions inside [j_lo, j_hi], sorted;
+    empty when the window holds none (or j_lo > j_hi)."""
+    _require(table, unit, i, need_next=True)
+    k_lo = _last_index(unit, table, i, j_lo - 1) + 1
+    k_hi = _last_index(unit, table, i, j_hi)
+    if k_lo > k_hi:
+        return []
+    return mismatch_set(unit, table, i, k_lo, k_hi)
 
 
 def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]:
@@ -131,16 +180,12 @@ def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]
     _require(table, unit, i, need_next=True)
     if not is_mismatch(unit, table, i, j):
         raise NotAMismatch(f"position {j} matches at level {i}")
-    succ, cur = table[i + 1], table[i]
-    if unit.family is Family.PLUS and i % 2 and j == -cur:
-        return None
+    # beta**i * j(k) lies in (k - 1, k], see _last_index
     k = (beta_pow(unit, table, i) * j).ceil()
-    if unit.family is Family.PLUS:
-        assert k != 0 or i % 2 == 0
-        assert k * succ + unit.floor_mul(k) * cur == j
-    else:
-        assert k * succ - (unit.floor_mul(k) + 1) * cur == j
-    return k
+    got = _position(unit, table, i)(k)
+    if got != j:
+        raise InvariantError(f"{unit} i={i}: exceptional position j={j} but the closed form gives j({k})={got}")
+    return None if _is_special(unit, i, k) else k
 
 
 def coverage_k(unit: QuadraticUnit, table: GFib, i: int, n: int) -> int:
@@ -165,68 +210,13 @@ def brute_force_mismatches(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, 
     return out
 
 
-def _count_mismatches(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> int:
-    """Exceptional-position count over [j_lo, j_hi] by an incremental
-    floor walk.
-
-    Invariant: f == floor(j*beta) at the top of each step.  Advancing j
-    by one advances the fractional part by beta, so the carry decision
-    and the membership test are both exact radical-sign evaluations;
-    the walk agrees with is_mismatch pointwise (property-tested).
-    """
-    if j_lo > j_hi:
-        return 0
-    p = beta_pow(unit, table, i)
-    m = unit.m
-    disc = unit.D
-    plus = unit.family is Family.PLUS
-    below = plus and i % 2 == 0
-    if below:
-        # mismatch iff frac + (ca + cb*beta) < 0, i.e. frac < beta**i
-        ca, cb = -p.a, -p.b
-    else:
-        # mismatch iff frac + (ca + cb*beta) >= 0, i.e. frac >= 1 - beta**i
-        ca, cb = p.a - 1, p.b
-
-    def sgn(x: int, y: int) -> int:
-        if plus:
-            half = 2 * x - y * m
-            c = y
-        else:
-            half = 2 * x + y * m
-            c = -y
-        if c == 0:
-            return (half > 0) - (half < 0)
-        if half == 0:
-            return 1 if c > 0 else -1
-        if half > 0:
-            if c > 0:
-                return 1
-            return 1 if half * half > c * c * disc else -1
-        if c < 0:
-            return -1
-        return 1 if half * half < c * c * disc else -1
-
-    f = unit.floor_mul(j_lo)
-    count = 0
-    for j in range(j_lo, j_hi + 1):
-        s = sgn(ca - f, cb + j)
-        if below:
-            if s < 0:
-                count += 1
-        elif s >= 0:
-            count += 1
-        if j < j_hi and sgn(-f - 1, j + 1) >= 0:
-            f += 1
-    return count
-
-
 def frequency_scan(unit: QuadraticUnit, table: GFib, i: int, n: int) -> ScanSummary:
-    """Exact share of exceptional positions among j in [-n, n]."""
+    """Exact share of exceptional positions among j in [-n, n], counted
+    on the enumeration index with O(1) floor evaluations for any n."""
     if n < 0:
         raise ValueError(f"window radius must be >= 0, got {n}")
     _require(table, unit, i)
-    count = _count_mismatches(unit, table, i, -n, n)
+    count = _last_index(unit, table, i, n) - _last_index(unit, table, i, -n - 1)
     total = 2 * n + 1
     return ScanSummary(
         i=i,

@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import verify
-from .beatty import MismatchRecord, coverage_k, frequency_scan, mismatch_set
+from .beatty import MismatchRecord, frequency_scan, mismatch_set, mismatches_between
 from .cutproject import Window, cut_points
 from .gfib import DEFAULT_LENGTH, GFib
 from .units import DomainError, QuadraticUnit, UnitMismatch, ZBeta, make_unit
@@ -118,11 +118,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def _clipped_mismatches(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int,
                         k_lo: Optional[int], k_hi: Optional[int]) -> list[MismatchRecord]:
     if k_lo is None or k_hi is None:
-        if j_lo > j_hi:
-            return []
-        p = ZBeta(0, 1, unit) ** i
-        k_lo = (p * j_lo).floor() - 2
-        k_hi = (p * j_hi).ceil() + 2
+        return mismatches_between(unit, table, i, j_lo, j_hi)
     return [r for r in mismatch_set(unit, table, i, k_lo, k_hi) if j_lo <= r.j <= j_hi]
 
 

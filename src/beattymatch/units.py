@@ -31,6 +31,10 @@ class UnitMismatch(ValueError):
     """Arithmetic attempted between values bound to different units."""
 
 
+class InvariantError(ValueError):
+    """An identity the exact arithmetic relies on failed to hold."""
+
+
 def _radical_sign(half: int, c: int, disc: int) -> int:
     """Exact sign of half + c*sqrt(disc), disc a positive non-square."""
     if c == 0:
@@ -74,7 +78,8 @@ class QuadraticUnit:
         if r * r == self.D:
             raise DomainError(f"discriminant {self.D} is a perfect square")
         # product of the two roots is -1 (family a) or +1 (family b)
-        assert self.m * self.m - self.D == (-4 if self.family is Family.PLUS else 4)
+        if self.m * self.m - self.D != (-4 if self.family is Family.PLUS else 4):
+            raise InvariantError(f"{self}: m^2 - D = {self.m * self.m - self.D} gives the wrong root product")
 
     def half_coords(self, j: int) -> tuple[int, int]:
         """Integers (half, c) with j*beta == (half + c*sqrt(D)) / 2."""

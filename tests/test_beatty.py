@@ -11,6 +11,7 @@ from beattymatch import (
     GFib,
     NotAMismatch,
     UnitMismatch,
+    beta_pow,
     brute_force_mismatches,
     coverage_k,
     discrepancy,
@@ -18,14 +19,16 @@ from beattymatch import (
     is_mismatch,
     mismatch_epsilon,
     mismatch_set,
+    mismatches_between,
     recover_k,
 )
-from beattymatch.beatty import _count_mismatches
+from beattymatch.beatty import _last_index
 
 from conftest import unit_grid
 
 UNITS = unit_grid()
 TABLES = {u: GFib.build(u) for u in UNITS}
+DEEP_TABLES = {u: GFib.build(u, 202) for u in UNITS}
 unit_st = st.sampled_from(UNITS)
 level_st = st.integers(min_value=1, max_value=12)
 
@@ -211,16 +214,46 @@ def test_frequency_scan_counts_match_membership(units):
         t = TABLES[u]
         for i in range(1, 9):
             want = sum(is_mismatch(u, t, i, j) for j in range(-400, 401))
-            assert _count_mismatches(u, t, i, -400, 400) == want
+            assert frequency_scan(u, t, i, 400).mismatch_count == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(unit_st, st.integers(1, 10), st.integers(-2000, 2000), st.integers(0, 400))
-def test_incremental_walk_equals_membership(u, i, lo, span):
+def test_index_bracket_equals_membership(u, i, lo, span):
     t = TABLES[u]
     hi = lo + span
     want = sum(is_mismatch(u, t, i, j) for j in range(lo, hi + 1))
-    assert _count_mismatches(u, t, i, lo, hi) == want
+    assert _last_index(u, t, i, hi) - _last_index(u, t, i, lo - 1) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_st, level_st, st.integers(1, 200), st.sampled_from((-1, 1)),
+       st.integers(-1, 1), st.integers(0, 60))
+def test_mismatches_between_at_convergent_denominators(u, i, n, sign, delta, half):
+    # j*beta is closest to an integer at j = +-G_n, so the index bracket
+    # has the least room there
+    t = DEEP_TABLES[u]
+    centre = sign * t[n] + delta
+    lo, hi = centre - half, centre + half
+    want = [j for j in range(lo, hi + 1) if is_mismatch(u, t, i, j)]
+    assert [r.j for r in mismatches_between(u, t, i, lo, hi)] == want
+    assert _last_index(u, t, i, hi) - _last_index(u, t, i, lo - 1) == len(want)
+
+
+def test_frequency_count_has_bounded_remainder(units):
+    # a window of length beta**i in Z + Z*beta is a bounded-remainder set
+    # (Kesten 1966): the count misses beta**i*(2n+1) by less than 2 at
+    # every n, here up to 10**30 and at the convergent denominators
+    for u in units:
+        t = DEEP_TABLES[u]
+        radii = [0, 1, 2] + [10**e for e in range(1, 31)]
+        radii += [t[n] + d for n in (5, 20, 60) for d in (-1, 0, 1)]
+        for i in range(1, 13):
+            for n in radii:
+                count = frequency_scan(u, t, i, n).mismatch_count
+                # exact ZBeta sign tests, no float
+                gap = u.element(count, 0) - beta_pow(u, t, i) * (2 * n + 1)
+                assert -2 < gap < 2, (u, i, n, count)
 
 
 def test_frequency_approaches_target(golden):

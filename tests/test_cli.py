@@ -5,11 +5,12 @@ import io
 import json
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from beattymatch import GFib, brute_force_mismatches, make_unit
+from beattymatch import GFib, beta_pow, brute_force_mismatches, make_unit
 from beattymatch.cli import main, parse_endpoint
 
 
@@ -169,6 +170,21 @@ def test_freq_json(capsys):
     assert row["total"] == 1001
     assert row["frequency"].endswith("/1001")
     assert abs(row["target"] - 0.1458980338) < 1e-9
+
+
+def test_freq_huge_radius_is_bounded(capsys):
+    # the count costs a constant number of floors, so n = 10**30 answers at once
+    n = 10**30
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "freq", "--family", "b", "--m", "5", "--i", "7", "--n", str(n))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 1.0
+    _, (row,) = parse_csv(out)
+    count = int(row[2])
+    unit = make_unit("b", 5)
+    gap = unit.element(count, 0) - beta_pow(unit, GFib.build(unit), 7) * (2 * n + 1)
+    assert -2 < gap < 2
 
 
 def test_freq_rejects_negative_n(capsys):
