@@ -4,8 +4,10 @@ Shifting the argument of j |-> floor(j*beta) by a table entry G_i
 shifts the value by G_{i-1} at almost every j.  The exceptional
 positions admit an exact closed-form enumeration, their membership is
 a single fractional-part test, and their density over growing windows
-is beta**i.  Everything here is integer-exact; the only float is the
-display target carried by a scan summary.
+is beta**i.  Whole windows of floors come from one fixed-point sum whose
+error bracket is certified, with an exact fallback where it is too wide.
+Everything here is integer-exact; the only float is the display target
+carried by a scan summary.
 """
 
 from __future__ import annotations
@@ -91,6 +93,93 @@ def is_mismatch(unit: QuadraticUnit, table: GFib, i: int, j: int) -> bool:
     if unit.family is Family.PLUS and i % 2 == 0:
         return unit.pair_sign(-f - p.a, j - p.b) < 0
     return unit.pair_sign(-f - 1 + p.a, j + p.b) >= 0
+
+
+@dataclass(frozen=True)
+class FloorWindow:
+    """Exact floors of j*beta for j in [j0, j0 + len(floors)), each with a
+    certified low end of its fractional part at the scale 2**bits:
+    frac((j0 + t)*beta) * 2**bits lies in [lows[t], lows[t] + t + 1).
+    The lists are shared, not copied; treat them as read-only.
+    """
+
+    j0: int
+    bits: int
+    floors: list[int]
+    lows: list[int]
+
+
+def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
+    """floor(j*beta) for the count integers j0 <= j < j0 + count, from two
+    square roots plus one per carry, in place of one per j.
+
+    Proof.  Let K = bits = 40 + count.bit_length(), A = floor(j0*beta*2**K)
+    and P = floor(beta*2**K), both exact floors.  Then j0*beta*2**K lies in
+    [A, A + 1) and t*beta*2**K in [t*P, t*P + t] for t >= 0, so with
+    S_t = A + t*P, x_t = (j0 + t)*beta*2**K lies in [S_t, S_t + t + 1).
+    Write S_t = q*2**K + r with 0 <= r < 2**K.  If r + t + 1 <= 2**K the
+    whole bracket sits in [q*2**K, (q + 1)*2**K), so floor((j0 + t)*beta)
+    = q and frac((j0 + t)*beta)*2**K = x_t - q*2**K lies in [r, r + t + 1).
+    Otherwise (the carry case: x_t may have crossed (q + 1)*2**K) the floor
+    f comes from floor_mul, and x_t - f*2**K, which lies in [0, 2**K) and
+    in [S_t - f*2**K, S_t - f*2**K + t + 1), has low end
+    max(0, S_t - f*2**K) and still lies below that plus t + 1.  Since
+    t < count <= 2**(K - 40), the carry case needs frac(j*beta) within
+    2**-40 of 1: the convergent denominators j = +-G_n, or the exact zero
+    at j = 0 reached from a negative anchor.
+    """
+    if count < 0:
+        raise ValueError(f"window length must be >= 0, got {count}")
+    bits = 40 + count.bit_length()
+    mask = (1 << bits) - 1
+    fm = unit.floor_mul
+    step = fm(1 << bits)
+    start = fm(j0 << bits)
+    sums = range(start, start + count * step, step)
+    floors = [s >> bits for s in sums]
+    lows = [s & mask for s in sums]
+    for t in [t for t, r in enumerate(lows) if r + t > mask]:
+        s = sums[t]
+        f = fm(j0 + t)
+        if f - floors[t] not in (0, 1):
+            raise InvariantError(f"{unit}: floor of {j0 + t}*beta is {f}, outside the bracket of {floors[t]}")
+        floors[t] = f
+        lows[t] = max(0, s - (f << bits))
+    return FloorWindow(j0, bits, floors, lows)
+
+
+def discrepancy_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
+    """:func:`discrepancy` at every j of ``base``: the floors of the window
+    shifted by G_i minus those of ``base``, minus G_{i-1}."""
+    _require(table, unit, i)
+    shifted = floor_window(unit, base.j0 + table[i], len(base.floors)).floors
+    drop = table[i - 1]
+    return [s - b - drop for s, b in zip(shifted, base.floors)]
+
+
+def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[bool]:
+    """:func:`is_mismatch` at every j of ``base``, decided on its certified
+    fractional brackets against Q = floor(beta**i * 2**bits), an exact
+    floor with Q < beta**i * 2**bits < Q + 1.
+
+    Family a, even i (mismatch iff frac < beta**i): a bracket wholly below
+    Q is a mismatch, one from Q + 1 up is not.  Otherwise (mismatch iff
+    frac >= 1 - beta**i, which lies in (E - 1, E) at scale 2**bits for
+    E = 2**bits - Q): a bracket from E up is a mismatch, one wholly below
+    E - 1 is not.  A bracket that straddles the threshold goes to
+    :func:`is_mismatch`; at j = -G_i frac(j*beta) equals it exactly.
+    """
+    _require(table, unit, i)
+    q = (beta_pow(unit, table, i) * (1 << base.bits)).floor()
+    j0 = base.j0
+
+    def exact(t: int) -> bool:
+        return is_mismatch(unit, table, i, j0 + t)
+
+    if unit.family is Family.PLUS and i % 2 == 0:
+        return [True if low + t < q else False if low > q else exact(t) for t, low in enumerate(base.lows)]
+    edge = (1 << base.bits) - q
+    return [True if low >= edge else False if low + t + 2 <= edge else exact(t) for t, low in enumerate(base.lows)]
 
 
 def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int], int]:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from . import verify
 from .beatty import MismatchRecord, frequency_scan, mismatch_set, mismatches_between
 from .cutproject import Window, cut_points
-from .gfib import DEFAULT_LENGTH, GFib
+from .gfib import GFib
 from .units import DomainError, QuadraticUnit, UnitMismatch, ZBeta, make_unit
 
 SVG_WIDTH = 800
@@ -87,7 +87,7 @@ def _unit_from_args(args: argparse.Namespace) -> QuadraticUnit:
 def _table_for(unit: QuadraticUnit, i: int) -> GFib:
     if i < 1:
         raise UsageError(f"--i must be >= 1, got {i}")
-    return GFib.build(unit, max(DEFAULT_LENGTH, i + 2))
+    return GFib.for_level(unit, i)
 
 
 def _record_k(record: MismatchRecord) -> object:

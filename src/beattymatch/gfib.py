@@ -48,6 +48,12 @@ class GFib:
                 vals.append(m * vals[-1] - vals[-2])
         return cls(unit, tuple(vals))
 
+    @classmethod
+    def for_level(cls, unit: QuadraticUnit, i: int) -> "GFib":
+        """Table long enough for every routine at shift levels up to i
+        (the closed-form enumeration reads G_{i+1})."""
+        return cls.build(unit, max(DEFAULT_LENGTH, i + 2))
+
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 

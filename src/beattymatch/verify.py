@@ -2,8 +2,8 @@
 
 Every closed-form claim of the package is paired with an independent
 route: discrepancy scans against value-range and membership criteria,
-predicted position sets against brute-force floors, window frequencies
-against their limit, power coordinates against folded ring products,
+predicted position sets against windowed floors, window counts against
+their bounded remainder, power coordinates against folded ring products,
 and the cut-and-project identities against direct enumeration.  A
 perturbation hook lets the command demonstrate that the checks can
 actually fail.
@@ -12,7 +12,7 @@ actually fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import beatty, cutproject
 from .gfib import GFib, verify_power_identity
@@ -30,10 +30,7 @@ SUITES = (
 DEFAULT_I_MAX = 12
 DEFAULT_WINDOW = 10_000
 DEFAULT_FREQ_N = 100_000
-DEFAULT_FREQ_TOL = 1e-3
 DEFAULT_B_SPAN = 200
-
-EpsFn = Callable[[QuadraticUnit, GFib, int, int], int]
 
 
 @dataclass(frozen=True)
@@ -55,73 +52,69 @@ def default_units() -> list[QuadraticUnit]:
     return grid
 
 
-def _fault_wrapper(fault_j: int) -> EpsFn:
-    # perturbation hook: corrupt the discrepancy at one position so the
-    # equivalence suite has something to catch
-    def eps(unit: QuadraticUnit, table: GFib, i: int, j: int) -> int:
-        base = beatty.discrepancy(unit, table, i, j)
-        return base + 1 if j == fault_j else base
-
-    return eps
+def _level_windows(
+    units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int
+) -> Iterator[tuple[QuadraticUnit, GFib, int, beatty.FloorWindow, list[int]]]:
+    """(unit, table, i, floor window over [-window, window], discrepancies
+    there) for every unit and level; the floor window is built once per
+    unit and serves all its levels."""
+    for u in units:
+        t = tables[u]
+        base = beatty.floor_window(u, -window, 2 * window + 1)
+        for i in range(1, i_max + 1):
+            yield u, t, i, base, beatty.discrepancy_window(u, t, i, base)
 
 
 def _suite_range_law(units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int) -> SuiteResult:
     checked = failures = 0
-    for u in units:
-        t = tables[u]
-        for i in range(1, i_max + 1):
-            allowed = {0, beatty.mismatch_epsilon(u, i)}
-            for j in range(-window, window + 1):
-                checked += 1
-                if beatty.discrepancy(u, t, i, j) not in allowed:
-                    failures += 1
+    for u, _, i, _, disc in _level_windows(units, tables, i_max, window):
+        allowed = {0, beatty.mismatch_epsilon(u, i)}
+        checked += len(disc)
+        failures += sum(1 for e in disc if e not in allowed)
     return SuiteResult("range-law", checked, failures)
 
 
 def _suite_criterion_equivalence(
-    units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int, eps_fn: EpsFn
+    units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int, fault_j: Optional[int]
 ) -> SuiteResult:
     checked = failures = 0
-    for u in units:
-        t = tables[u]
-        for i in range(1, i_max + 1):
-            for j in range(-window, window + 1):
-                checked += 1
-                if (eps_fn(u, t, i, j) != 0) != beatty.is_mismatch(u, t, i, j):
-                    failures += 1
+    for u, t, i, base, disc in _level_windows(units, tables, i_max, window):
+        if fault_j is not None and -window <= fault_j <= window:
+            # perturbation hook: corrupt the discrepancy at one position so
+            # this suite has something to catch
+            disc[fault_j + window] += 1
+        member = beatty.mismatch_window(u, t, i, base)
+        checked += len(disc)
+        failures += sum(1 for e, hit in zip(disc, member) if (e != 0) != hit)
     return SuiteResult("criterion-equivalence", checked, failures)
 
 
 def _suite_set_equivalence(units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int) -> SuiteResult:
     checked = failures = 0
-    for u in units:
-        t = tables[u]
-        for i in range(1, i_max + 1):
-            brute = beatty.brute_force_mismatches(u, t, i, -window, window)
-            cap = beatty.coverage_k(u, t, i, window)
-            records = beatty.mismatch_set(u, t, i, -cap, cap)
-            predicted = [(r.j, r.epsilon) for r in records if -window <= r.j <= window]
-            checked += len(brute) + 1
-            if predicted != brute:
-                failures += 1
+    for u, t, i, _, disc in _level_windows(units, tables, i_max, window):
+        scanned = [(j, e) for j, e in enumerate(disc, -window) if e]
+        predicted = [(r.j, r.epsilon) for r in beatty.mismatches_between(u, t, i, -window, window)]
+        checked += len(scanned) + 1
+        if predicted != scanned:
+            failures += 1
     return SuiteResult("set-equivalence", checked, failures)
 
 
-def _suite_frequency(
-    units: Sequence[QuadraticUnit], tables: dict, i_max: int, n: int, tol: float
-) -> SuiteResult:
-    checked = failures = 0
-    worst = 0.0
+def _suite_frequency(units: Sequence[QuadraticUnit], tables: dict, i_max: int, n: int) -> SuiteResult:
+    """Bounded remainder (Kesten 1966): the count over [-n, n] misses
+    beta**i * (2n + 1) by less than 2, decided by exact sign tests."""
+    checked = failures = worst = 0
     for u in units:
         t = tables[u]
         for i in range(1, i_max + 1):
-            summary = beatty.frequency_scan(u, t, i, n)
-            gap = abs(float(summary.frequency) - u.beta_approx() ** i)
-            worst = max(worst, gap)
+            count = beatty.frequency_scan(u, t, i, n).mismatch_count
+            gap = u.element(count, 0) - beta_pow(u, t, i) * (2 * n + 1)
             checked += 1
-            if gap > tol:
+            if not -2 < gap < 2:
                 failures += 1
-    return SuiteResult("frequency", checked, failures, note=f"max-gap={worst:.2e}")
+            # the note shows the largest |gap|, floored to 3 decimals
+            worst = max(worst, ((gap if gap >= 0 else -gap) * 1000).floor())
+    return SuiteResult("frequency", checked, failures, note=f"max-remainder={worst // 1000}.{worst % 1000:03d}")
 
 
 def _suite_power_identities(units: Sequence[QuadraticUnit], tables: dict, i_cap: int = 60) -> SuiteResult:
@@ -203,12 +196,7 @@ def _suite_sigma_identities(
             for i in (2, 4):
                 w = cutproject.Window(zero, beta_pow(u, t, i))
                 got = [p.b for p in cutproject.cut_points(u, w, -bridge_span, bridge_span)]
-                cap = beatty.coverage_k(u, t, i, bridge_span)
-                expect = [
-                    r.j
-                    for r in beatty.mismatch_set(u, t, i, -cap, cap)
-                    if -bridge_span <= r.j <= bridge_span
-                ]
+                expect = [r.j for r in beatty.mismatches_between(u, t, i, -bridge_span, bridge_span)]
                 checked += 1
                 if got != expect:
                     failures += 1
@@ -222,29 +210,33 @@ def run_suites(
     window: int = DEFAULT_WINDOW,
     freq_n: int = DEFAULT_FREQ_N,
     freq_i_max: int = 10,
-    freq_tol: float = DEFAULT_FREQ_TOL,
     b_span: int = DEFAULT_B_SPAN,
     fault_j: Optional[int] = None,
 ) -> list[SuiteResult]:
-    """Run the named suites (all of them by default) over the unit grid."""
+    """Run the named suites (all of them by default) over the unit grid.
+
+    ``fault_j`` adds 1 to the discrepancy at that position inside the
+    criterion-equivalence suite only, as a negative control.
+    """
     chosen = list(names) if names is not None else list(SUITES)
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+    if window < 0:
+        raise ValueError(f"window radius must be >= 0, got {window}")
     grid = list(units) if units is not None else default_units()
-    tables = {u: GFib.build(u, max(64, i_max + 2)) for u in grid}
-    eps_fn: EpsFn = beatty.discrepancy if fault_j is None else _fault_wrapper(fault_j)
+    tables = {u: GFib.for_level(u, max(i_max, freq_i_max)) for u in grid}
 
     results = []
     for name in chosen:
         if name == "range-law":
             results.append(_suite_range_law(grid, tables, i_max, window))
         elif name == "criterion-equivalence":
-            results.append(_suite_criterion_equivalence(grid, tables, i_max, window, eps_fn))
+            results.append(_suite_criterion_equivalence(grid, tables, i_max, window, fault_j))
         elif name == "set-equivalence":
             results.append(_suite_set_equivalence(grid, tables, i_max, window))
         elif name == "frequency":
-            results.append(_suite_frequency(grid, tables, freq_i_max, freq_n, freq_tol))
+            results.append(_suite_frequency(grid, tables, freq_i_max, freq_n))
         elif name == "power-identities":
             results.append(_suite_power_identities(grid, tables))
         else:

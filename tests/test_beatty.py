@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +16,19 @@ from beattymatch import (
     brute_force_mismatches,
     coverage_k,
     discrepancy,
+    discrepancy_window,
+    floor_window,
     frequency_scan,
     is_mismatch,
     mismatch_epsilon,
     mismatch_set,
+    mismatch_window,
     mismatches_between,
     recover_k,
 )
+from beattymatch import beatty
 from beattymatch.beatty import _last_index
+from beattymatch.units import QuadraticUnit
 
 from conftest import unit_grid
 
@@ -273,3 +279,98 @@ def test_coverage_bound_captures_all_window_indices(units):
                 k = recover_k(u, t, i, j)
                 if k is not None:
                     assert abs(k) <= cap, (u, i, j, k, cap)
+
+
+# ---------------------------------------------------------------- floor window
+
+
+def _mp_floor(u, j):
+    """floor(j*beta) by mpmath at 192 bits, or more for large j: rounding
+    cannot cross an integer since |j*beta - p| > 1/(|j|*(sqrt(D) + 1))."""
+    with mp.workprec(max(192, 2 * abs(j).bit_length() + 64)):
+        root = mp.sqrt(u.D)
+        beta = (root - u.m) / 2 if u.family is Family.PLUS else (u.m - root) / 2
+        return int(mp.floor(j * beta))
+
+
+def _check_window(u, w, count):
+    """Floors against floor_mul; each fractional bracket by exact sign tests:
+    lows[t] <= (j*beta - floor)*2**bits < lows[t] + t + 1."""
+    assert len(w.floors) == len(w.lows) == count
+    for t, (f, low) in enumerate(zip(w.floors, w.lows)):
+        j = w.j0 + t
+        assert f == u.floor_mul(j), (u, w.j0, t)
+        scaled = f << w.bits
+        assert u.pair_sign(-scaled - low, j << w.bits) >= 0, (u, w.j0, t, low)
+        assert u.pair_sign(-scaled - low - t - 1, j << w.bits) < 0, (u, w.j0, t, low)
+
+
+def _counting_floor_mul(monkeypatch):
+    calls = []
+    plain = QuadraticUnit.floor_mul
+
+    def floor_mul(self, j):
+        calls.append(j)
+        return plain(self, j)
+
+    monkeypatch.setattr(QuadraticUnit, "floor_mul", floor_mul)
+    return calls
+
+
+def test_floor_window_at_convergent_denominators(monkeypatch):
+    # j*beta is closest to an integer at j = +-G_n: there the fixed-point
+    # bracket reaches the next integer and the exact carry path must run,
+    # as it must at j = 0 reached from the anchor -1
+    calls = _counting_floor_mul(monkeypatch)
+    width = 4
+    for u in UNITS:
+        t = DEEP_TABLES[u]
+        anchors = [0] + [s * t[n] + d for n in range(1, 201) for s in (1, -1) for d in (-1, 0, 1)]
+        carries = []
+        for j0 in anchors:
+            del calls[:]
+            w = floor_window(u, j0, width)
+            carries += calls[2:]
+            _check_window(u, w, width)
+            assert w.floors == [_mp_floor(u, j) for j in range(j0, j0 + width)], (u, j0)
+        assert 0 in carries, u
+        assert len(carries) > 200, (u, len(carries))
+
+
+def test_floor_window_edges():
+    u = UNITS[0]
+    assert floor_window(u, 7, 0).floors == []
+    _check_window(u, floor_window(u, -3, 1), 1)
+    with pytest.raises(ValueError):
+        floor_window(u, 0, -1)
+
+
+def test_mismatch_window_at_exact_thresholds(monkeypatch):
+    # frac(-G_i*beta) equals the membership threshold exactly: beta**i
+    # (family a, even i) or 1 - beta**i, so the bracket straddles it and
+    # the exact test must decide, at the window's first point and inside it
+    fallbacks = []
+    exact = beatty.is_mismatch
+    monkeypatch.setattr(beatty, "is_mismatch", lambda u, t, i, j: fallbacks.append(j) or exact(u, t, i, j))
+    for u in UNITS:
+        t = DEEP_TABLES[u]
+        for i in range(1, 41):
+            del fallbacks[:]
+            windows = [(-t[i] + d, 3) for d in (-1, 0, 1)] + [(-t[i] - 40, 81)]
+            for j0, count in windows:
+                base = floor_window(u, j0, count)
+                js = range(j0, j0 + count)
+                assert mismatch_window(u, t, i, base) == [exact(u, t, i, j) for j in js], (u, i, j0)
+                assert discrepancy_window(u, t, i, base) == [discrepancy(u, t, i, j) for j in js], (u, i, j0)
+            assert fallbacks.count(-t[i]) == 3, (u, i, fallbacks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_st, level_st, st.integers(-2**450, 2**450), st.integers(0, 64))
+def test_window_kernel_at_random_anchors(u, i, j0, count):
+    t = TABLES[u]
+    base = floor_window(u, j0, count)
+    _check_window(u, base, count)
+    js = range(j0, j0 + count)
+    assert discrepancy_window(u, t, i, base) == [discrepancy(u, t, i, j) for j in js]
+    assert mismatch_window(u, t, i, base) == [is_mismatch(u, t, i, j) for j in js]

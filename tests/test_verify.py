@@ -19,7 +19,7 @@ def test_default_grid_composition():
 
 
 def test_all_suites_pass_on_small_grid():
-    results = run_suites(i_max=5, window=400, freq_n=4000, freq_tol=5e-3, b_span=60)
+    results = run_suites(i_max=5, window=400, freq_n=4000, b_span=60)
     assert [r.name for r in results] == list(SUITES)
     for r in results:
         assert r.passed, (r.name, r.failures)
@@ -31,9 +31,25 @@ def test_suite_selection_order_is_canonical():
     assert [r.name for r in results] == ["set-equivalence", "range-law"]
 
 
+def test_frequency_levels_past_i_max_get_a_long_enough_table():
+    # tables are sized from max(i_max, freq_i_max), not from i_max alone
+    (result,) = run_suites(names=["frequency"], freq_i_max=70, freq_n=10)
+    assert result.passed and result.checked == 6 * 70
+
+
+def test_frequency_note_is_the_exact_worst_remainder():
+    (result,) = run_suites(names=["frequency"], freq_i_max=3, freq_n=0)
+    # at n = 0 the count is 1 exactly at family a, even i; the worst
+    # |count - beta**i| is 1 - beta**2 = 3*beta = 0.9083... for family a,
+    # m = 3, floored to 3 decimals
+    assert result.note == "max-remainder=0.908"
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suites(names=["no-such-suite"])
+    with pytest.raises(ValueError):
+        run_suites(names=["range-law"], window=-1)
 
 
 def test_fault_injection_breaks_equivalence_only():
