@@ -182,8 +182,10 @@ def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow)
     return [True if low >= edge else False if low + t + 2 <= edge else exact(t) for t, low in enumerate(base.lows)]
 
 
-def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int], int]:
-    """The closed form k |-> j(k) of the exceptional positions at level i.
+def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int, int], int]:
+    """The closed form (k, floor(k*beta)) |-> j(k) of the exceptional
+    positions at level i; the caller supplies the floor, one by one or
+    from a :func:`floor_window`.
 
     Family a: j = k*G_{i+1} + floor(k*beta)*G_i for k != 0; the k = 0
     slot holds 0 at even i and the extra element -G_i at odd i.
@@ -194,13 +196,12 @@ def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int], int]:
     from the recurrence, so the table need only reach G_i.
     """
     prev, cur = table[i - 1], table[i]
-    fm = unit.floor_mul
     if unit.family is Family.MINUS:
         succ = unit.m * cur - prev
-        return lambda k: k * succ - (fm(k) + 1) * cur
+        return lambda k, f: k * succ - (f + 1) * cur
     succ = unit.m * cur + prev
     slot0 = -cur if i % 2 else 0
-    return lambda k: k * succ + fm(k) * cur if k else slot0
+    return lambda k, f: k * succ + f * cur if k else slot0
 
 
 def _is_special(unit: QuadraticUnit, i: int, k: int) -> bool:
@@ -220,11 +221,12 @@ def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
     single correcting step is the most ever taken.
     """
     pos = _position(unit, table, i)
+    fm = unit.floor_mul
     k = (beta_pow(unit, table, i) * x).floor()
     for _ in range(3):
-        if pos(k) > x:
+        if pos(k, fm(k)) > x:
             k -= 1
-        elif pos(k + 1) <= x:
+        elif pos(k + 1, fm(k + 1)) <= x:
             k += 1
         else:
             return k
@@ -233,7 +235,8 @@ def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
 
 def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:
     """Closed-form enumeration of the exceptional positions for indices
-    k_lo..k_hi, sorted by position (see :func:`_position`).
+    k_lo..k_hi, sorted by position (see :func:`_position`), with the
+    floors of k*beta from one :func:`floor_window`.
 
     The extra element -G_i of family a at odd i fills the k = 0 slot and
     carries k = None.
@@ -243,21 +246,26 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
         raise ValueError(f"index range {k_lo}..{k_hi} is empty")
     eps = mismatch_epsilon(unit, i)
     pos = _position(unit, table, i)
-    records = [MismatchRecord(pos(k), k, eps) for k in range(k_lo, k_hi + 1)]
+    ks = range(k_lo, k_hi + 1)
+    floors = floor_window(unit, k_lo, len(ks)).floors
+    records = [MismatchRecord(pos(k, f), k, eps) for k, f in zip(ks, floors)]
     if _is_special(unit, i, 0) and k_lo <= 0 <= k_hi:
-        records[-k_lo] = MismatchRecord(pos(0), None, eps)
+        records[-k_lo] = MismatchRecord(pos(0, 0), None, eps)
     return records
+
+
+def index_range(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> range:
+    """The indices k whose closed-form positions lie in [j_lo, j_hi];
+    empty when the window holds none (or j_lo > j_hi)."""
+    _require(table, unit, i, need_next=True)
+    return range(_last_index(unit, table, i, j_lo - 1) + 1, _last_index(unit, table, i, j_hi) + 1)
 
 
 def mismatches_between(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> list[MismatchRecord]:
     """The closed-form exceptional positions inside [j_lo, j_hi], sorted;
     empty when the window holds none (or j_lo > j_hi)."""
-    _require(table, unit, i, need_next=True)
-    k_lo = _last_index(unit, table, i, j_lo - 1) + 1
-    k_hi = _last_index(unit, table, i, j_hi)
-    if k_lo > k_hi:
-        return []
-    return mismatch_set(unit, table, i, k_lo, k_hi)
+    ks = index_range(unit, table, i, j_lo, j_hi)
+    return mismatch_set(unit, table, i, ks.start, ks.stop - 1) if ks else []
 
 
 def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]:
@@ -271,7 +279,7 @@ def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]
         raise NotAMismatch(f"position {j} matches at level {i}")
     # beta**i * j(k) lies in (k - 1, k], see _last_index
     k = (beta_pow(unit, table, i) * j).ceil()
-    got = _position(unit, table, i)(k)
+    got = _position(unit, table, i)(k, unit.floor_mul(k))
     if got != j:
         raise InvariantError(f"{unit} i={i}: exceptional position j={j} but the closed form gives j({k})={got}")
     return None if _is_special(unit, i, k) else k

@@ -5,21 +5,29 @@ positions), plot (step graph with shifted overlay, SVG or ascii), freq
 (exact window frequency), cut (cut-and-project points), verify
 (cross-check suites).  Identical arguments produce byte-identical
 output.  Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 output I/O error.
+3 output I/O error (including a reader that closed the pipe).
+
+Every argument is checked before the first byte goes out.  The
+documents are then written in blocks of at most BLOCK_ROWS rows, each
+drawn from one certified floor window, so none is held in memory whole;
+``--out`` goes to a temporary file that is renamed into place.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
+import os
 import re
+import shutil
 import sys
-from typing import Optional, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import starmap
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import verify
-from .beatty import MismatchRecord, frequency_scan, mismatch_set, mismatches_between
+from .beatty import floor_window, frequency_scan, index_range, mismatch_set
 from .cutproject import Window, cut_points
 from .gfib import GFib
 from .units import DomainError, QuadraticUnit, UnitMismatch, ZBeta, make_unit
@@ -27,6 +35,12 @@ from .units import DomainError, QuadraticUnit, UnitMismatch, ZBeta, make_unit
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
 SVG_MARGIN = 48
+
+# rows per written block of seq, mismatch and cut
+BLOCK_ROWS = 1 << 14
+# plot refuses more j than this as svg, and more columns x rows than this as ascii
+PLOT_MAX_POINTS = 1 << 18
+PLOT_MAX_CELLS = 1 << 24
 
 _ENDPOINT_TERM = r"[+-]?\d+"
 
@@ -55,29 +69,87 @@ def parse_endpoint(text: str, unit: QuadraticUnit) -> ZBeta:
     raise UsageError(f"cannot parse window endpoint {text!r}; expected forms like '1', '-2*beta', '1+(-1)*beta'")
 
 
-def _emit(text: str, out: Optional[str]) -> int:
+# ---------------------------------------------------------------- output
+
+
+def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (`beattymatch seq ... | head`): stop quietly, and
+            # point stdout at the null device so the final flush at exit cannot fail
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 3
         return 0
     try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_file(chunks, out)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 3
     return 0
 
 
-def _csv_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _write_file(chunks: Iterable[str], out: str) -> None:
+    """Write the chunks to a temporary file beside ``out``, then rename it
+    into place: a failure partway leaves ``out`` as it was and no
+    temporary file behind.  A path that exists but is not a regular file
+    (a device, a pipe) is written in place."""
+    if os.path.exists(out) and not os.path.isfile(out):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    head, name = os.path.split(os.path.abspath(out))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    # O_EXCL never reuses a file; mode 0o666 lets the umask decide, as open() does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(out, tmp)
+        os.replace(tmp, out)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def _json_doc(config: dict, rows: object) -> str:
-    return json.dumps({"config": config, "rows": rows}, indent=2, sort_keys=True) + "\n"
+def _csv_doc(keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
+    """CSV text of the rows, one chunk per block.  Every field is an int
+    or a fixed token without commas, quotes or newlines, so none needs
+    quoting and plain formatting equals csv.writer's output."""
+    yield ",".join(keys) + "\n"
+    line = ",".join(f"{{{c}}}" for c in range(len(keys))) + "\n"
+    for block in blocks:
+        yield "".join(starmap(line.format, block))
+
+
+def _json_doc(config: dict, keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
+    """The text of json.dumps({"config": config, "rows": rows}, indent=2,
+    sort_keys=True) + newline, one chunk per block, where each row maps
+    ``keys`` to the JSON tokens of one tuple (ints, null, or already
+    encoded strings and floats).  Rows come from one template for the
+    sorted keys: with ``indent`` set, json.dumps runs its pure-Python
+    encoder, several times slower."""
+    head, _, tail = json.dumps({"config": config, "rows": []}, indent=2, sort_keys=True).rpartition("[]")
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    row = "    {{\n" + ",\n".join(f'      "{keys[c]}": {{{c}}}' for c in order) + "\n    }}"
+    yield head
+    sep = "[\n"
+    for block in blocks:
+        text = ",\n".join(starmap(row.format, block))
+        if text:
+            yield sep + text
+            sep = ",\n"
+    yield ("[]" if sep == "[\n" else "\n  ]") + tail + "\n"
+
+
+def _table(fmt: str, config: dict, keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
+    return _json_doc(config, keys, blocks) if fmt == "json" else _csv_doc(keys, blocks)
 
 
 def _unit_from_args(args: argparse.Namespace) -> QuadraticUnit:
@@ -90,16 +162,17 @@ def _table_for(unit: QuadraticUnit, i: int) -> GFib:
     return GFib.for_level(unit, i)
 
 
-def _record_k(record: MismatchRecord) -> object:
-    return "special" if record.k is None else record.k
-
-
 # ---------------------------------------------------------------- commands
+
+
+def _seq_blocks(unit: QuadraticUnit, j_lo: int, j_hi: int) -> Iterator[Iterable[tuple]]:
+    for j0 in range(j_lo, j_hi + 1, BLOCK_ROWS):
+        floors = floor_window(unit, j0, min(BLOCK_ROWS, j_hi + 1 - j0)).floors
+        yield zip(range(j0, j0 + len(floors)), floors)
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
     unit = _unit_from_args(args)
-    rows = [(j, unit.floor_mul(j)) for j in range(args.j_lo, args.j_hi + 1)]
     config = {
         "command": "seq",
         "family": args.family,
@@ -108,18 +181,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
         "to": args.j_hi,
         "format": args.format,
     }
-    if args.format == "json":
-        doc = _json_doc(config, [{"j": j, "floor": f} for j, f in rows])
-    else:
-        doc = _csv_table(("j", "floor"), rows)
-    return _emit(doc, args.out)
+    blocks = _seq_blocks(unit, args.j_lo, args.j_hi)
+    return _emit(_table(args.format, config, ("j", "floor"), blocks), args.out)
 
 
-def _clipped_mismatches(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int,
-                        k_lo: Optional[int], k_hi: Optional[int]) -> list[MismatchRecord]:
-    if k_lo is None or k_hi is None:
-        return mismatches_between(unit, table, i, j_lo, j_hi)
-    return [r for r in mismatch_set(unit, table, i, k_lo, k_hi) if j_lo <= r.j <= j_hi]
+def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, special: str) -> Iterator[list[tuple]]:
+    for k0 in range(ks.start, ks.stop, BLOCK_ROWS):
+        records = mismatch_set(unit, table, i, k0, min(k0 + BLOCK_ROWS, ks.stop) - 1)
+        yield [(r.j, special if r.k is None else r.k, r.epsilon) for r in records]
 
 
 def cmd_mismatch(args: argparse.Namespace) -> int:
@@ -127,7 +196,7 @@ def cmd_mismatch(args: argparse.Namespace) -> int:
     table = _table_for(unit, args.i)
     if (args.k_lo is None) != (args.k_hi is None):
         raise UsageError("--k-from and --k-to must be given together")
-    records = _clipped_mismatches(unit, table, args.i, args.j_lo, args.j_hi, args.k_lo, args.k_hi)
+    ks = index_range(unit, table, args.i, args.j_lo, args.j_hi)
     config = {
         "command": "mismatch",
         "family": args.family,
@@ -138,13 +207,15 @@ def cmd_mismatch(args: argparse.Namespace) -> int:
         "format": args.format,
     }
     if args.k_lo is not None:
+        if args.k_lo > args.k_hi:
+            raise UsageError(f"index range {args.k_lo}..{args.k_hi} is empty")
+        # j(k) increases with k, so clipping to the j-window clips the index range
+        ks = range(max(ks.start, args.k_lo), min(ks.stop, args.k_hi + 1))
         config["k_from"] = args.k_lo
         config["k_to"] = args.k_hi
-    if args.format == "json":
-        doc = _json_doc(config, [{"j": r.j, "k": r.k, "epsilon": r.epsilon} for r in records])
-    else:
-        doc = _csv_table(("j", "k", "epsilon"), [(r.j, _record_k(r), r.epsilon) for r in records])
-    return _emit(doc, args.out)
+    special = "null" if args.format == "json" else "special"
+    blocks = _mismatch_blocks(unit, table, args.i, ks, special)
+    return _emit(_table(args.format, config, ("j", "k", "epsilon"), blocks), args.out)
 
 
 def cmd_freq(args: argparse.Namespace) -> int:
@@ -165,22 +236,19 @@ def cmd_freq(args: argparse.Namespace) -> int:
     exact = f"{summary.mismatch_count}/{total}"
     decimal = float(summary.frequency)
     if args.format == "json":
-        row = {
-            "i": summary.i,
-            "n": args.n,
-            "count": summary.mismatch_count,
-            "total": total,
-            "frequency": exact,
-            "frequency_decimal": decimal,
-            "target": summary.target,
-        }
-        doc = _json_doc(config, [row])
+        fields = (json.dumps(exact), json.dumps(decimal), json.dumps(summary.target))
     else:
-        doc = _csv_table(
-            ("i", "n", "count", "total", "frequency", "frequency_decimal", "target"),
-            [(summary.i, args.n, summary.mismatch_count, total, exact, f"{decimal:.10f}", f"{summary.target:.10f}")],
-        )
-    return _emit(doc, args.out)
+        fields = (exact, f"{decimal:.10f}", f"{summary.target:.10f}")
+    keys = ("i", "n", "count", "total", "frequency", "frequency_decimal", "target")
+    row = (summary.i, args.n, summary.mismatch_count, total, *fields)
+    return _emit(_table(args.format, config, keys, [[row]]), args.out)
+
+
+def _cut_blocks(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> Iterator[list[tuple]]:
+    # one b holds floor(hi - lo) or floor(hi - lo) + 1 points
+    step = max(1, BLOCK_ROWS // ((window.hi - window.lo).floor() + 1))
+    for b0 in range(b_lo, b_hi + 1, step):
+        yield [(p.a, p.b) for p in cut_points(unit, window, b0, min(b0 + step - 1, b_hi))]
 
 
 def cmd_cut(args: argparse.Namespace) -> int:
@@ -191,7 +259,6 @@ def cmd_cut(args: argparse.Namespace) -> int:
         window = Window(lo, hi)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    points = cut_points(unit, window, args.b_lo, args.b_hi) if args.b_lo <= args.b_hi else []
     config = {
         "command": "cut",
         "family": args.family,
@@ -202,44 +269,34 @@ def cmd_cut(args: argparse.Namespace) -> int:
         "to": args.b_hi,
         "format": args.format,
     }
-    if args.format == "json":
-        doc = _json_doc(config, [{"a": p.a, "b": p.b} for p in points])
-    else:
-        doc = _csv_table(("a", "b"), [(p.a, p.b) for p in points])
-    return _emit(doc, args.out)
+    blocks = _cut_blocks(unit, window, args.b_lo, args.b_hi)
+    return _emit(_table(args.format, config, ("a", "b"), blocks), args.out)
 
 
 # ---------------------------------------------------------------- plotting
 
 
-def _plot_data(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int):
-    js = list(range(j_lo, j_hi + 1))
-    main = [unit.floor_mul(j) for j in js]
-    shift, drop = table[i], table[i - 1]
-    overlay = [unit.floor_mul(j + shift) - drop for j in js]
-    marks = [j for j, f, g in zip(js, main, overlay) if f != g]
-    return js, main, overlay, marks
+def _value_range(main: Sequence[int], overlay: Sequence[int]) -> tuple[int, int]:
+    """Lowest and highest value of the two lines; both are nondecreasing."""
+    return min(main[0], overlay[0]), max(main[-1], overlay[-1])
 
 
 def render_svg(j_lo: int, j_hi: int, main: Sequence[int], overlay: Sequence[int],
-               marks: Sequence[int], label: str) -> str:
+               marks: Sequence[int], label: str) -> Iterator[str]:
     count = len(main)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}" '
-        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}">',
-        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="#ffffff"/>',
-        f'<text x="{SVG_MARGIN}" y="24" font-family="monospace" font-size="14">{label}</text>',
-    ]
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}" '
+           f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}">\n')
+    yield f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="#ffffff"/>\n'
+    yield f'<text x="{SVG_MARGIN}" y="24" font-family="monospace" font-size="14">{label}</text>\n'
     x0, y0 = SVG_MARGIN, SVG_HEIGHT - SVG_MARGIN
     x1, y1 = SVG_WIDTH - SVG_MARGIN, SVG_MARGIN
-    parts.append('<g class="axes" stroke="#333333" stroke-width="1">')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}"/>')
-    parts.append(f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}"/>')
-    parts.append("</g>")
+    yield '<g class="axes" stroke="#333333" stroke-width="1">\n'
+    yield f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}"/>\n'
+    yield f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}"/>\n'
+    yield "</g>\n"
 
     if count:
-        vals = list(main) + list(overlay)
-        vmin, vmax = min(vals), max(vals)
+        vmin, vmax = _value_range(main, overlay)
         span_x = count
         span_y = max(vmax - vmin, 1)
         plot_w = x1 - x0
@@ -262,58 +319,59 @@ def render_svg(j_lo: int, j_hi: int, main: Sequence[int], overlay: Sequence[int]
                 pieces.append(f"H{px(j_lo + off + 1):.2f}")
             return "".join(pieces)
 
-        parts.append(
-            f'<path class="main" d="{step_path(main)}" fill="none" stroke="#2563a8" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<path class="shifted" d="{step_path(overlay)}" fill="none" stroke="#c0392b" '
-            f'stroke-width="2" stroke-dasharray="6 3"/>'
-        )
-        parts.append('<g class="mismatches">')
+        yield f'<path class="main" d="{step_path(main)}" fill="none" stroke="#2563a8" stroke-width="2"/>\n'
+        yield (f'<path class="shifted" d="{step_path(overlay)}" fill="none" stroke="#c0392b" '
+               f'stroke-width="2" stroke-dasharray="6 3"/>\n')
+        yield '<g class="mismatches">\n'
         for j in marks:
             cx = (px(j) + px(j + 1)) / 2
             cy = py(main[j - j_lo])
-            parts.append(
-                f'<circle data-j="{j}" cx="{cx:.2f}" cy="{cy:.2f}" r="4" '
-                f'fill="#e8a117" stroke="#222222" stroke-width="1"/>'
-            )
-        parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+            yield (f'<circle data-j="{j}" cx="{cx:.2f}" cy="{cy:.2f}" r="4" '
+                   f'fill="#e8a117" stroke="#222222" stroke-width="1"/>\n')
+        yield "</g>\n"
+    yield "</svg>\n"
 
 
-def render_ascii(j_lo: int, main: Sequence[int], overlay: Sequence[int], marks: Sequence[int]) -> str:
+def render_ascii(j_lo: int, main: Sequence[int], overlay: Sequence[int], marks: Sequence[int]) -> Iterator[str]:
+    """One line per value, top down: '#' on the main line, '!' where it is
+    a mismatch, '+' on the overlay.  Both lines are nondecreasing, so a
+    value fills one run of columns on each, found by bisection."""
     if not main:
-        return ""
+        return
     mark_set = set(marks)
-    vmin = min(min(main), min(overlay))
-    vmax = max(max(main), max(overlay))
-    lines = []
+    vmin, vmax = _value_range(main, overlay)
     for v in range(vmax, vmin - 1, -1):
-        row = []
-        for idx in range(len(main)):
-            ch = " "
-            if overlay[idx] == v:
-                ch = "+"
-            if main[idx] == v:
-                ch = "!" if (j_lo + idx) in mark_set else "#"
-            row.append(ch)
-        lines.append("".join(row).rstrip())
-    return "\n".join(lines) + "\n"
+        m0, m1 = bisect_left(main, v), bisect_right(main, v)
+        o0, o1 = bisect_left(overlay, v), bisect_right(overlay, v)
+        row = [" "] * max(m1, o1)
+        row[o0:o1] = "+" * (o1 - o0)
+        row[m0:m1] = ["!" if j_lo + c in mark_set else "#" for c in range(m0, m1)]
+        yield "".join(row).rstrip() + "\n"
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
     unit = _unit_from_args(args)
     table = _table_for(unit, args.i)
-    if args.j_lo > args.j_hi:
-        js, main, overlay, marks = [], [], [], []
-    else:
-        js, main, overlay, marks = _plot_data(unit, table, args.i, args.j_lo, args.j_hi)
-    label = f"floor(j*beta) family={args.family} m={args.m} i={args.i} j={args.j_lo}..{args.j_hi}"
+    j_lo, j_hi = args.j_lo, args.j_hi
+    count = max(0, j_hi - j_lo + 1)
+    shift, drop = table[args.i], table[args.i - 1]
+    if args.format == "svg" and count > PLOT_MAX_POINTS:
+        raise UsageError(f"an svg plot of {count} points exceeds the cap of {PLOT_MAX_POINTS}")
+    if args.format == "ascii" and count:
+        # the floors are monotone, so the end points give the number of lines
+        fm = unit.floor_mul
+        lines = max(fm(j_hi), fm(j_hi + shift) - drop) - min(fm(j_lo), fm(j_lo + shift) - drop) + 1
+        if count * lines > PLOT_MAX_CELLS:
+            raise UsageError(f"an ascii plot of {count} columns x {lines} rows exceeds the cap "
+                             f"of {PLOT_MAX_CELLS} cells")
+    main = floor_window(unit, j_lo, count).floors
+    overlay = [f - drop for f in floor_window(unit, j_lo + shift, count).floors]
+    marks = [j for j, f, g in zip(range(j_lo, j_hi + 1), main, overlay) if f != g]
     if args.format == "ascii":
-        doc = render_ascii(args.j_lo, main, overlay, marks)
+        doc = render_ascii(j_lo, main, overlay, marks)
     else:
-        doc = render_svg(args.j_lo, args.j_hi, main, overlay, marks, label)
+        label = f"floor(j*beta) family={args.family} m={args.m} i={args.i} j={j_lo}..{j_hi}"
+        doc = render_svg(j_lo, j_hi, main, overlay, marks, label)
     return _emit(doc, args.out)
 
 
@@ -326,8 +384,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         b_span=args.b_span,
         fault_j=args.inject_fault,
     )
-    report = verify.render_report(results)
-    code = _emit(report, args.out)
+    code = _emit([verify.render_report(results)], args.out)
     if code:
         return code
     return 0 if all(r.passed for r in results) else 2
@@ -371,7 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_mis.add_argument("--out", default=None)
     p_mis.set_defaults(handler=cmd_mismatch)
 
-    p_plot = sub.add_parser("plot", help="step plot with the shifted overlay")
+    p_plot = sub.add_parser(
+        "plot", help="step plot with the shifted overlay",
+        description=f"Step plot of floor(j*beta) with its copy shifted by G_i.  Refused (exit 1): "
+                    f"an svg of more than {PLOT_MAX_POINTS} points (j values), an ascii plot of more "
+                    f"than {PLOT_MAX_CELLS} cells (columns x rows).",
+    )
     _add_unit_flags(p_plot)
     p_plot.add_argument("--i", type=int, default=1, help="shift level (default 1)")
     _add_range_flags(p_plot, 0, 40, "index j")

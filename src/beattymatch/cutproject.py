@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .beatty import floor_window
 from .units import Family, QuadraticUnit, UnitMismatch, ZBeta
 
 
@@ -54,17 +55,20 @@ class Window:
 
 def cut_points(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> list[LatticePoint]:
     """All (a, b) with b_lo <= b <= b_hi and a + b*beta in the window,
-    ordered by (b, a)."""
+    ordered by (b, a).
+
+    The integers a with lo - b*beta <= a < hi - b*beta run from
+    ceil(lo - b*beta) = lo.a - floor((b - lo.b)*beta) up to
+    hi.a - floor((b - hi.b)*beta), exclusive; both floors come from one
+    :func:`floor_window` per endpoint.
+    """
     if window.unit != unit:
         raise UnitMismatch("window belongs to a different unit")
-    points = []
-    for b in range(b_lo, b_hi + 1):
-        # integers a with lo - b*beta <= a < hi - b*beta
-        a_lo = ZBeta(window.lo.a, window.lo.b - b, unit).ceil()
-        a_hi = ZBeta(window.hi.a, window.hi.b - b, unit).ceil()
-        for a in range(a_lo, a_hi):
-            points.append(LatticePoint(a, b))
-    return points
+    lo, hi = window.lo, window.hi
+    bs = range(b_lo, b_hi + 1)
+    lows = floor_window(unit, b_lo - lo.b, len(bs)).floors
+    highs = floor_window(unit, b_lo - hi.b, len(bs)).floors
+    return [LatticePoint(a, b) for b, fl, fh in zip(bs, lows, highs) for a in range(lo.a - fl, hi.a - fh)]
 
 
 def unit_interval_points(unit: QuadraticUnit, b_lo: int, b_hi: int) -> list[LatticePoint]:

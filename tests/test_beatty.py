@@ -365,6 +365,39 @@ def test_mismatch_window_at_exact_thresholds(monkeypatch):
             assert fallbacks.count(-t[i]) == 3, (u, i, fallbacks)
 
 
+def _closed_form_position(u, t, i, k):
+    """j(k) of the paper's enumeration, one floor_mul per k and G_{i+1}
+    read from the table."""
+    cur, succ = t[i], t[i + 1]
+    if u.family is Family.MINUS:
+        return k * succ - (u.floor_mul(k) + 1) * cur
+    if k == 0:
+        return -cur if i % 2 else 0
+    return k * succ + u.floor_mul(k) * cur
+
+
+def test_mismatch_set_at_convergent_denominators(monkeypatch):
+    # mismatch_set takes floor(k*beta) from one floor window; at k = +-G_n
+    # that window takes its exact carry path, and every record must still
+    # equal the pointwise closed form
+    calls = _counting_floor_mul(monkeypatch)
+    for u in UNITS:
+        t = DEEP_TABLES[u]
+        carries = 0
+        for i in (1, 2, 5):
+            eps = mismatch_epsilon(u, i)
+            for k_lo in [s * t[n] - 1 for n in range(1, 201) for s in (1, -1)] + [-1]:
+                del calls[:]
+                got = mismatch_set(u, t, i, k_lo, k_lo + 2)
+                carries += len(calls) - 2
+                ks = range(k_lo, k_lo + 3)
+                want = [(_closed_form_position(u, t, i, k), k, eps) for k in ks]
+                assert [(r.j, r.k, r.epsilon) for r in got] == [
+                    (j, None if k == 0 and u.family is Family.PLUS and i % 2 else k, e) for j, k, e in want
+                ], (u, i, k_lo)
+        assert carries > 300, (u, carries)
+
+
 @settings(max_examples=80, deadline=None)
 @given(unit_st, level_st, st.integers(-2**450, 2**450), st.integers(0, 64))
 def test_window_kernel_at_random_anchors(u, i, j0, count):

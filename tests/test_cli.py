@@ -3,15 +3,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from beattymatch import GFib, beta_pow, brute_force_mismatches, make_unit
-from beattymatch.cli import main, parse_endpoint
+from beattymatch import GFib, ZBeta, beta_pow, brute_force_mismatches, make_unit, mismatch_set
+from beattymatch import cli
+from beattymatch.cli import BLOCK_ROWS, PLOT_MAX_CELLS, PLOT_MAX_POINTS, main, parse_endpoint
 
 
 def run_cli(capsys, *argv):
@@ -412,3 +416,272 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "j,floor\n0,0\n1,0\n2,1\n"
+
+
+# ---------------------------------------------------------------- streaming emitters
+
+
+def json_oracle(config, rows):
+    return json.dumps({"config": config, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def csv_oracle(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+BIG = 2**130 + 7
+EMITTER_ROWS = (
+    [],
+    [(0, 0, 1)],
+    [(-1, None, 1)],
+    [(-BIG, -3, -1), (BIG, None, 1), (2**129, 2**128 + 1, -1), (-(2**200), 0, 1)],
+)
+
+
+@pytest.mark.parametrize("rows", EMITTER_ROWS)
+def test_emitters_equal_json_dumps_and_csv_writer(rows):
+    keys = ("j", "k", "epsilon")
+    config = {"command": "mismatch", "family": "a", "from": -BIG, "to": BIG, "k_from": None}
+    # split into blocks, an empty one among them, as the commands may yield
+    blocks = [rows[:1], [], rows[1:]]
+
+    def tokens(special):
+        return [[tuple(special if v is None else v for v in r) for r in b] for b in blocks]
+
+    got_json = "".join(cli._json_doc(config, keys, tokens("null")))
+    assert got_json == json_oracle(config, [dict(zip(keys, r)) for r in rows])
+    got_csv = "".join(cli._csv_doc(keys, tokens("special")))
+    assert got_csv == csv_oracle(keys, [["special" if v is None else v for v in r] for r in rows])
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_seq_at_block_seams(capsys, extra):
+    # a run of BLOCK_ROWS - 1, BLOCK_ROWS and BLOCK_ROWS + 1 rows past 128
+    # bits, with the convergent denominator G_190 just past the first seam
+    unit = make_unit("a", 1)
+    j_lo = GFib.build(unit, 192)[190] - BLOCK_ROWS
+    j_hi = j_lo + BLOCK_ROWS + extra - 1
+    rows = [(j, unit.floor_mul(j)) for j in range(j_lo, j_hi + 1)]
+    args = ("seq", "--family", "a", "--m", "1", f"--from={j_lo}", f"--to={j_hi}")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out == csv_oracle(("j", "floor"), rows)
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    config = {"command": "seq", "family": "a", "m": 1, "from": j_lo, "to": j_hi, "format": "json"}
+    assert out == json_oracle(config, [{"j": j, "floor": f} for j, f in rows])
+
+
+@pytest.mark.parametrize("extra", (-1, 0, 1))
+def test_mismatch_at_block_seams(capsys, extra):
+    # the window holds BLOCK_ROWS + extra positions, the special one at k = 0 among them
+    unit = make_unit("a", 1)
+    table = GFib.build(unit)
+    records = mismatch_set(unit, table, 3, -5, BLOCK_ROWS + extra - 6)
+    j_lo, j_hi = records[0].j, records[-1].j
+    args = ("mismatch", "--family", "a", "--m", "1", "--i", "3", f"--from={j_lo}", f"--to={j_hi}")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out == csv_oracle(("j", "k", "epsilon"),
+                             [(r.j, "special" if r.k is None else r.k, r.epsilon) for r in records])
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    config = {"command": "mismatch", "family": "a", "m": 1, "i": 3, "from": j_lo, "to": j_hi, "format": "json"}
+    assert out == json_oracle(config, [{"j": r.j, "k": r.k, "epsilon": r.epsilon} for r in records])
+
+
+def test_mismatch_k_range_clipped_to_window(capsys):
+    args = ("mismatch", "--family", "a", "--m", "1", "--i", "1", "--from", "-3", "--to", "5")
+    code, out, _ = run_cli(capsys, *args, "--k-from", "-100", "--k-to", "1")
+    assert code == 0
+    assert out == "j,k,epsilon\n-2,-1,1\n-1,special,1\n1,1,1\n"
+    code, out, _ = run_cli(capsys, *args, "--k-from", "50", "--k-to", "60")
+    assert code == 0
+    assert out == "j,k,epsilon\n"
+    code, out, err = run_cli(capsys, *args, "--k-from", "3", "--k-to", "2")
+    assert code == 1
+    assert out == ""
+    assert "empty" in err
+
+
+def test_cut_blocks_equal_pointwise_route(capsys):
+    # four points per b, so a block holds BLOCK_ROWS // 4 values of b; the
+    # range spans three blocks around the convergent denominator G_120
+    unit = make_unit("b", 4)
+    lo, hi = unit.element(0, -1), unit.element(3, 0)
+    centre = GFib.build(unit, 122)[120]
+    b_lo, b_hi = centre - BLOCK_ROWS // 4, centre + BLOCK_ROWS // 4 + 3
+    rows = [(a, b) for b in range(b_lo, b_hi + 1)
+            for a in range(ZBeta(0, -1 - b, unit).ceil(), ZBeta(3, -b, unit).ceil())]
+    args = ("cut", "--family", "b", "--m", "4", "--lo=-1*beta", "--hi", "3", f"--from={b_lo}", f"--to={b_hi}")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out == csv_oracle(("a", "b"), rows)
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    config = {"command": "cut", "family": "b", "m": 4, "lo": str(lo), "hi": str(hi),
+              "from": b_lo, "to": b_hi, "format": "json"}
+    assert out == json_oracle(config, [{"a": a, "b": b} for a, b in rows])
+
+
+def test_freq_json_equals_json_dumps(capsys):
+    code, out, _ = run_cli(capsys, "freq", "--family", "a", "--m", "2", "--i", "3", "--n", "777", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert out == json_oracle(doc["config"], doc["rows"])
+
+
+def ascii_oracle(j_lo, main, overlay, marks):
+    """The plot cell by cell: every value from the top, every column."""
+    lines = []
+    for v in range(max(main + overlay), min(main + overlay) - 1, -1):
+        row = ""
+        for idx in range(len(main)):
+            ch = "+" if overlay[idx] == v else " "
+            if main[idx] == v:
+                ch = "!" if j_lo + idx in marks else "#"
+            row += ch
+        lines.append(row.rstrip() + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("family, m, i, j_lo, j_hi", [
+    ("a", 1, 2, 0, 30), ("a", 3, 1, -17, 25), ("b", 3, 2, -40, 3), ("b", 7, 5, 100, 180), ("a", 2, 4, 5, 5),
+])
+def test_plot_ascii_equals_cell_by_cell_oracle(capsys, family, m, i, j_lo, j_hi):
+    unit = make_unit(family, m)
+    table = GFib.build(unit)
+    js = range(j_lo, j_hi + 1)
+    main = [unit.floor_mul(j) for j in js]
+    overlay = [unit.floor_mul(j + table[i]) - table[i - 1] for j in js]
+    marks = {j for j, _ in brute_force_mismatches(unit, table, i, j_lo, j_hi)}
+    code, out, _ = run_cli(capsys, "plot", "--family", family, "--m", str(m), "--i", str(i),
+                           f"--from={j_lo}", f"--to={j_hi}", "--format", "ascii")
+    assert code == 0
+    assert out == ascii_oracle(j_lo, main, overlay, marks)
+
+
+# ---------------------------------------------------------------- plot caps
+
+
+def test_plot_caps_refuse_before_any_output(capsys, tmp_path):
+    target = tmp_path / "plot.out"
+    code, out, err = run_cli(capsys, "plot", "--format", "ascii", "--to", "1000000", "--out", str(target))
+    assert code == 1
+    assert str(PLOT_MAX_CELLS) in err
+    assert not target.exists()
+    code, out, err = run_cli(capsys, "plot", "--from", "1", "--to", str(PLOT_MAX_POINTS + 1))
+    assert (code, out) == (1, "")
+    assert str(PLOT_MAX_POINTS) in err
+    # 2001 columns x 765 rows is under the cap and renders
+    code, out, _ = run_cli(capsys, "plot", "--family", "b", "--m", "3", "--format", "ascii", "--to", "2000")
+    assert code == 0
+    assert sum(len(line) for line in out.splitlines()) <= PLOT_MAX_CELLS
+
+
+def test_plot_help_names_the_caps(capsys):
+    code, out, _ = run_cli(capsys, "plot", "--help")
+    assert code == 0
+    assert str(PLOT_MAX_POINTS) in out and str(PLOT_MAX_CELLS) in out
+
+
+# ---------------------------------------------------------------- atomic --out
+
+
+def _fail_on_second_block(monkeypatch, exc):
+    plain = cli.floor_window
+    seen = []
+
+    def floor_window(unit, j0, count):
+        if seen:
+            raise exc
+        seen.append(j0)
+        return plain(unit, j0, count)
+
+    monkeypatch.setattr(cli, "floor_window", floor_window)
+
+
+@pytest.mark.parametrize("exc, want_code", [(OSError(28, "No space left on device"), 3), (ValueError("bad"), 1)])
+@pytest.mark.parametrize("existing", [True, False])
+def test_out_failure_partway_leaves_target_alone(capsys, tmp_path, monkeypatch, exc, want_code, existing):
+    target = tmp_path / "rows.csv"
+    if existing:
+        target.write_text("old\n")
+    _fail_on_second_block(monkeypatch, exc)
+    code, _, err = run_cli(capsys, "seq", "--to", str(2 * BLOCK_ROWS), "--out", str(target))
+    assert code == want_code
+    assert "error" in err
+    assert os.listdir(tmp_path) == (["rows.csv"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"
+
+
+def test_out_replaces_target_and_keeps_its_mode(capsys, tmp_path):
+    target = tmp_path / "rows.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    assert run_cli(capsys, "seq", "--to", "2", "--out", str(target))[0] == 0
+    assert target.read_text() == "j,floor\n0,0\n1,0\n2,1\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    fresh, reference = tmp_path / "fresh.csv", tmp_path / "reference"
+    reference.write_text("")
+    assert run_cli(capsys, "seq", "--to", "2", "--out", str(fresh))[0] == 0
+    assert fresh.stat().st_mode & 0o777 == reference.stat().st_mode & 0o777
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "reference", "rows.csv"]
+
+
+def test_out_to_a_pipe_writes_in_place(capsys, tmp_path):
+    # a path that is not a regular file is opened, never replaced
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = run_cli(capsys, "seq", "--to", "2", "--out", str(fifo))[0]
+    reader.join(timeout=30)
+    assert code == 0
+    assert got == ["j,floor\n0,0\n1,0\n2,1\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+# ---------------------------------------------------------------- processes
+
+PEAK_RSS = (
+    "import resource, subprocess, sys\n"
+    "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+)
+# whole documents held in memory took 335 MiB (seq) and 110 MiB (cut) here
+STREAMING_RSS_MIB = 64
+
+
+def child_peak_rss_mib(*argv):
+    """Peak RSS of ``beattymatch argv`` alone: a fresh parent runs it as its only child."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "beattymatch", *argv],
+                          capture_output=True, text=True, check=True)
+    return int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "--from", "0", "--to", "2000000"),
+    ("cut", "--lo", "0", "--hi", "20000", "--from", "0", "--to", "20"),
+])
+def test_streaming_keeps_memory_bounded(tmp_path, argv):
+    target = tmp_path / "out.csv"
+    assert child_peak_rss_mib(*argv, "--out", str(target)) < STREAMING_RSS_MIB
+    with target.open("rb") as fh:
+        lines = sum(1 for _ in fh)
+    assert lines == (2_000_002 if argv[0] == "seq" else 21 * 20_000 + 1)
+
+
+def test_closed_pipe_exits_three_quietly():
+    proc = subprocess.Popen([sys.executable, "-m", "beattymatch", "seq", "--to", str(10**7)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"j,floor\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 3
+    assert err == b""

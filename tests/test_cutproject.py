@@ -9,6 +9,7 @@ from beattymatch import (
     LatticePoint,
     UnitMismatch,
     Window,
+    ZBeta,
     beta_pow,
     coverage_k,
     cut_points,
@@ -23,6 +24,7 @@ from conftest import unit_grid
 
 UNITS = unit_grid()
 TABLES = {u: GFib.build(u) for u in UNITS}
+DEEP_TABLES = {u: GFib.build(u, 202) for u in UNITS}
 unit_st = st.sampled_from(UNITS)
 
 
@@ -114,6 +116,42 @@ def test_cut_points_sound_and_complete(u, data):
                 assert not w.contains(u.element(a, b))
     assert pts == sorted(pts, key=lambda p: (p.b, p.a))
     assert len(seen) == len(pts)
+
+
+def _cut_points_pointwise(u, w, b_lo, b_hi):
+    """The per-b route: a runs from ceil(lo - b*beta) up to ceil(hi - b*beta),
+    exclusive, each ceiling an exact ZBeta ceiling."""
+    return [
+        LatticePoint(a, b)
+        for b in range(b_lo, b_hi + 1)
+        for a in range(ZBeta(w.lo.a, w.lo.b - b, u).ceil(), ZBeta(w.hi.a, w.hi.b - b, u).ceil())
+    ]
+
+
+# endpoints with a nonzero beta-coordinate, and widths down to the empty window
+ENDPOINT_ST = st.sampled_from(((0, 0), (0, -1), (1, -1), (-2, 3), (5, 2)))
+WIDTH_ST = st.sampled_from(((0, 0), (1, 0), (0, 1), (1, -1), (2, -1), (7, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_st, st.integers(1, 200), st.sampled_from((-1, 1)), st.integers(-1, 1),
+       st.integers(0, 5), ENDPOINT_ST, WIDTH_ST)
+def test_cut_points_at_convergent_denominators(u, n, sign, delta, half, lo, width):
+    # cut_points reads floor((b - lo.b)*beta) and floor((b - hi.b)*beta) from
+    # two floor windows; (b - lo.b)*beta is closest to an integer at
+    # b - lo.b = +-G_n, where the windows take their exact carry path
+    centre = sign * DEEP_TABLES[u][n] + delta + lo[1]
+    w = Window(u.element(*lo), u.element(lo[0] + width[0], lo[1] + width[1]))
+    b_lo, b_hi = centre - half, centre + half
+    assert cut_points(u, w, b_lo, b_hi) == _cut_points_pointwise(u, w, b_lo, b_hi)
+
+
+def test_cut_points_empty_ranges(golden, minus3):
+    for u in (golden, minus3):
+        w = Window(u.element(1, -1), u.element(2, 0))
+        assert cut_points(u, w, 3, 2) == []
+        assert cut_points(u, w, 5, 5) == _cut_points_pointwise(u, w, 5, 5)
+        assert cut_points(u, Window(w.lo, w.lo), -30, 30) == []
 
 
 # ---------------------------------------------------------------- closed forms
