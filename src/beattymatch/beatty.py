@@ -53,14 +53,13 @@ class ScanSummary:
             raise ValueError(f"frequency {self.frequency} outside [0, 1]")
 
 
-def _require(table: GFib, unit: QuadraticUnit, i: int, need_next: bool = False) -> None:
+def _require(table: GFib, unit: QuadraticUnit, i: int) -> None:
     if table.unit != unit:
         raise UnitMismatch("table belongs to a different unit")
     if i < 1:
         raise ValueError(f"shift index must be >= 1, got {i}")
-    top = i + 1 if need_next else i
-    if top >= len(table):
-        raise IndexError(f"table of length {len(table)} has no entry {top}")
+    if i >= len(table):
+        raise IndexError(f"table of length {len(table)} has no entry {i}")
 
 
 def mismatch_epsilon(unit: QuadraticUnit, i: int) -> int:
@@ -241,7 +240,7 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
     The extra element -G_i of family a at odd i fills the k = 0 slot and
     carries k = None.
     """
-    _require(table, unit, i, need_next=True)
+    _require(table, unit, i)
     if k_lo > k_hi:
         raise ValueError(f"index range {k_lo}..{k_hi} is empty")
     eps = mismatch_epsilon(unit, i)
@@ -257,7 +256,7 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
 def index_range(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> range:
     """The indices k whose closed-form positions lie in [j_lo, j_hi];
     empty when the window holds none (or j_lo > j_hi)."""
-    _require(table, unit, i, need_next=True)
+    _require(table, unit, i)
     return range(_last_index(unit, table, i, j_lo - 1) + 1, _last_index(unit, table, i, j_hi) + 1)
 
 
@@ -274,7 +273,7 @@ def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]
     Returns ``None`` for the extra element -G_i (family a, odd i) and
     raises :class:`NotAMismatch` when j is not exceptional at level i.
     """
-    _require(table, unit, i, need_next=True)
+    _require(table, unit, i)
     if not is_mismatch(unit, table, i, j):
         raise NotAMismatch(f"position {j} matches at level {i}")
     # beta**i * j(k) lies in (k - 1, k], see _last_index

@@ -41,6 +41,8 @@ BLOCK_ROWS = 1 << 14
 # plot refuses more j than this as svg, and more columns x rows than this as ascii
 PLOT_MAX_POINTS = 1 << 18
 PLOT_MAX_CELLS = 1 << 24
+# cut holds one b-column, up to floor(hi - lo) + 1 points, and refuses wider windows
+CUT_MAX_WIDTH = 1 << 17
 
 _ENDPOINT_TERM = r"[+-]?\d+"
 
@@ -244,9 +246,9 @@ def cmd_freq(args: argparse.Namespace) -> int:
     return _emit(_table(args.format, config, keys, [[row]]), args.out)
 
 
-def _cut_blocks(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> Iterator[list[tuple]]:
-    # one b holds floor(hi - lo) or floor(hi - lo) + 1 points
-    step = max(1, BLOCK_ROWS // ((window.hi - window.lo).floor() + 1))
+def _cut_blocks(unit: QuadraticUnit, window: Window, width: int, b_lo: int, b_hi: int) -> Iterator[list[tuple]]:
+    # one b holds width - 1 or width points
+    step = max(1, BLOCK_ROWS // width)
     for b0 in range(b_lo, b_hi + 1, step):
         yield [(p.a, p.b) for p in cut_points(unit, window, b0, min(b0 + step - 1, b_hi))]
 
@@ -259,6 +261,9 @@ def cmd_cut(args: argparse.Namespace) -> int:
         window = Window(lo, hi)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    width = (hi - lo).floor() + 1
+    if width > CUT_MAX_WIDTH:
+        raise UsageError(f"a cut window of up to {width} points per b exceeds the cap of {CUT_MAX_WIDTH}")
     config = {
         "command": "cut",
         "family": args.family,
@@ -269,7 +274,7 @@ def cmd_cut(args: argparse.Namespace) -> int:
         "to": args.b_hi,
         "format": args.format,
     }
-    blocks = _cut_blocks(unit, window, args.b_lo, args.b_hi)
+    blocks = _cut_blocks(unit, window, width, args.b_lo, args.b_hi)
     return _emit(_table(args.format, config, ("a", "b"), blocks), args.out)
 
 
@@ -449,7 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_freq.add_argument("--out", default=None)
     p_freq.set_defaults(handler=cmd_freq)
 
-    p_cut = sub.add_parser("cut", help="cut-and-project points for a window")
+    p_cut = sub.add_parser(
+        "cut", help="cut-and-project points for a window",
+        description=f"Cut-and-project points a + b*beta in [lo, hi).  Refused (exit 1): a window with "
+                    f"floor(hi - lo) + 1 > {CUT_MAX_WIDTH}, the most points one b may hold.",
+    )
     _add_unit_flags(p_cut)
     p_cut.add_argument("--lo", default="0", help="window low endpoint, e.g. '0' or '1+(-1)*beta'")
     p_cut.add_argument("--hi", default="1", help="window high endpoint (exclusive)")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .units import Family, QuadraticUnit, ZBeta, beta_pow
+from .units import Family, QuadraticUnit
 
 DEFAULT_LENGTH = 64
 
@@ -50,9 +50,9 @@ class GFib:
 
     @classmethod
     def for_level(cls, unit: QuadraticUnit, i: int) -> "GFib":
-        """Table long enough for every routine at shift levels up to i
-        (the closed-form enumeration reads G_{i+1})."""
-        return cls.build(unit, max(DEFAULT_LENGTH, i + 2))
+        """Table long enough for every routine at shift levels up to i:
+        G_0..G_i, and never shorter than the default."""
+        return cls.build(unit, max(DEFAULT_LENGTH, i))
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]
@@ -63,10 +63,3 @@ class GFib:
     def __iter__(self) -> Iterator[int]:
         return iter(self.values)
 
-
-def verify_power_identity(unit: QuadraticUnit, table: GFib, i: int) -> bool:
-    """Self-test: the table's closed form for beta**i must agree with an
-    i-fold ring product of beta itself."""
-    closed = beta_pow(unit, table, i)
-    folded = ZBeta(0, 1, unit) ** i
-    return folded == closed

@@ -35,22 +35,6 @@ class InvariantError(ValueError):
     """An identity the exact arithmetic relies on failed to hold."""
 
 
-def _radical_sign(half: int, c: int, disc: int) -> int:
-    """Exact sign of half + c*sqrt(disc), disc a positive non-square."""
-    if c == 0:
-        return (half > 0) - (half < 0)
-    if half == 0:
-        return 1 if c > 0 else -1
-    if half > 0:
-        if c > 0:
-            return 1
-        # half > 0 > c: compare half against |c|*sqrt(disc); never equal
-        return 1 if half * half > c * c * disc else -1
-    if c < 0:
-        return -1
-    return 1 if half * half < c * c * disc else -1
-
-
 @dataclass(frozen=True)
 class QuadraticUnit:
     """The unit beta of one family, identified by the parameter m.
@@ -81,15 +65,13 @@ class QuadraticUnit:
         if self.m * self.m - self.D != (-4 if self.family is Family.PLUS else 4):
             raise InvariantError(f"{self}: m^2 - D = {self.m * self.m - self.D} gives the wrong root product")
 
-    def half_coords(self, j: int) -> tuple[int, int]:
-        """Integers (half, c) with j*beta == (half + c*sqrt(D)) / 2."""
-        if self.family is Family.PLUS:
-            return -j * self.m, j
-        return j * self.m, -j
-
     def floor_mul(self, j: int) -> int:
         """Exact floor of j*beta for any integer j."""
-        half, c = self.half_coords(j)
+        # j*beta == (half + c*sqrt(D)) / 2
+        if self.family is Family.PLUS:
+            half, c = -j * self.m, j
+        else:
+            half, c = j * self.m, -j
         if c >= 0:
             rad = math.isqrt(c * c * self.D)
         else:
@@ -100,9 +82,15 @@ class QuadraticUnit:
         return (half + rad) // 2
 
     def pair_sign(self, a: int, b: int) -> int:
-        """Exact sign of a + b*beta."""
-        half, c = self.half_coords(b)
-        return _radical_sign(2 * a + half, c, self.D)
+        """Exact sign of a + b*beta.
+
+        For b != 0, b*beta is irrational, so a + b*beta is never 0, and it
+        is positive iff b*beta > -a iff floor(b*beta) >= -a (-a is an
+        integer that b*beta cannot equal).
+        """
+        if b == 0:
+            return (a > 0) - (a < 0)
+        return 1 if a + self.floor_mul(b) >= 0 else -1
 
     def element(self, a: int, b: int) -> "ZBeta":
         return ZBeta(a, b, self)

@@ -4,9 +4,9 @@ Every closed-form claim of the package is paired with an independent
 route: discrepancy scans against value-range and membership criteria,
 predicted position sets against windowed floors, window counts against
 their bounded remainder, power coordinates against folded ring products,
-and the cut-and-project identities against direct enumeration.  A
-perturbation hook lets the command demonstrate that the checks can
-actually fail.
+the cut-and-project identities against direct enumeration, and the
+mismatch sets against the points of a window of length beta**i.  A
+perturbation hook shows that the checks can actually fail.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import beatty, cutproject
-from .gfib import GFib, verify_power_identity
-from .units import Family, QuadraticUnit, beta_pow, make_unit
+from .gfib import GFib
+from .units import Family, QuadraticUnit, ZBeta, beta_pow, make_unit
 
 SUITES = (
     "range-law",
@@ -24,7 +24,9 @@ SUITES = (
     "set-equivalence",
     "frequency",
     "power-identities",
+    "unit-interval",
     "sigma-identities",
+    "level-bridge",
 )
 
 DEFAULT_I_MAX = 12
@@ -118,22 +120,39 @@ def _suite_frequency(units: Sequence[QuadraticUnit], tables: dict, i_max: int, n
 
 
 def _suite_power_identities(units: Sequence[QuadraticUnit], tables: dict, i_cap: int = 60) -> SuiteResult:
+    """beta**i read off the table equals the i-fold product of beta and
+    the square-and-multiply power, for every i <= i_cap."""
     checked = failures = 0
     for u in units:
         t = tables[u]
-        top = min(i_cap, len(t) - 1)
-        for i in range(1, top + 1):
+        beta = ZBeta(0, 1, u)
+        folded = beta
+        for i in range(1, min(i_cap, len(t) - 1) + 1):
+            closed = beta_pow(u, t, i)
             checked += 1
-            if not verify_power_identity(u, t, i):
+            if not (closed == folded and closed == beta**i):
                 failures += 1
+            folded = folded * beta
     return SuiteResult("power-identities", checked, failures)
 
 
-def _conjugate_preimage(unit: QuadraticUnit, p: cutproject.LatticePoint) -> tuple[int, int]:
+def _suite_unit_interval(units: Sequence[QuadraticUnit], b_span: int) -> SuiteResult:
+    """The window [0, 1) selects exactly (-floor(b*beta), b) for every b."""
+    checked = failures = 0
+    for u in units:
+        w01 = cutproject.Window(u.element(0, 0), u.element(1, 0))
+        want = cutproject.unit_interval_points(u, -b_span, b_span)
+        checked += len(want)
+        if cutproject.cut_points(u, w01, -b_span, b_span) != want:
+            failures += 1
+    return SuiteResult("unit-interval", checked, failures)
+
+
+def _conjugate_preimage(unit: QuadraticUnit, p: cutproject.LatticePoint) -> cutproject.LatticePoint:
     # inverse of scale_by_conjugate on coordinates
     if unit.family is Family.PLUS:
-        return p.b + unit.m * p.a, p.a
-    return p.b + unit.m * p.a, -p.a
+        return cutproject.LatticePoint(p.b + unit.m * p.a, p.a)
+    return cutproject.LatticePoint(p.b + unit.m * p.a, -p.a)
 
 
 def _sample_windows(unit: QuadraticUnit, table: GFib) -> list[cutproject.Window]:
@@ -144,63 +163,57 @@ def _sample_windows(unit: QuadraticUnit, table: GFib) -> list[cutproject.Window]
         cutproject.Window(zero, one),
         cutproject.Window(-one, zero),
         cutproject.Window(zero, beta),
+        cutproject.Window(beta, one),
         cutproject.Window(beta - 1, beta),
         cutproject.Window(zero, beta_pow(unit, table, 2)),
     ]
 
 
-def _suite_sigma_identities(
-    units: Sequence[QuadraticUnit], tables: dict, b_span: int, bridge_span: int = 500
-) -> SuiteResult:
+def _suite_sigma_identities(units: Sequence[QuadraticUnit], tables: dict, b_span: int) -> SuiteResult:
     checked = failures = 0
     for u in units:
-        t = tables[u]
-        zero = u.element(0, 0)
-        one = u.element(1, 0)
-
-        # closed form for the window [0, 1)
-        w01 = cutproject.Window(zero, one)
-        checked += 1
-        if cutproject.cut_points(u, w01, -b_span, b_span) != cutproject.unit_interval_points(u, -b_span, b_span):
-            failures += 1
-
-        for w in _sample_windows(u, t):
+        for w in _sample_windows(u, tables[u]):
             src = cutproject.cut_points(u, w, -b_span, b_span)
 
             # integer translation of the window moves every point with it
-            for shift in (-1, 3):
-                checked += 1
-                moved = cutproject.cut_points(u, w.shifted(shift), -b_span, b_span)
-                if moved != cutproject.translate(src, shift):
+            for shift in (-4, -1, 3, 7):
+                checked += len(src) + 1
+                if cutproject.cut_points(u, w.shifted(shift), -b_span, b_span) != cutproject.translate(src, shift):
                     failures += 1
 
-            # conjugate scaling carries the set onto the beta-scaled window;
-            # compare two-sided on the exactly covered coordinate range
-            image = cutproject.scale_by_conjugate(u, src)
-            checked += 1
-            if image:
-                b_vals = [q.b for q in image]
-                target = cutproject.cut_points(u, w.scaled_by_beta(), min(b_vals), max(b_vals))
-                image_set = set(image)
-                target_set = set(target)
-                ok = all(q in target_set for q in image)
-                for q in target:
-                    _, pre_b = _conjugate_preimage(u, q)
-                    if -b_span <= pre_b <= b_span and q not in image_set:
-                        ok = False
-                if not ok:
-                    failures += 1
-
-        # window [0, beta**i) at even i reproduces the exceptional positions
-        if u.family is Family.PLUS:
-            for i in (2, 4):
-                w = cutproject.Window(zero, beta_pow(u, t, i))
-                got = [p.b for p in cutproject.cut_points(u, w, -bridge_span, bridge_span)]
-                expect = [r.j for r in beatty.mismatches_between(u, t, i, -bridge_span, bridge_span)]
+            # conjugate scaling carries the points of w into the
+            # beta-scaled window, and every point there comes from one of w
+            scaled = w.scaled_by_beta()
+            for p in cutproject.scale_by_conjugate(u, src):
                 checked += 1
-                if got != expect:
+                if not scaled.contains(u.element(p.a, p.b)):
+                    failures += 1
+            for p in cutproject.cut_points(u, scaled, -b_span, b_span):
+                q = _conjugate_preimage(u, p)
+                checked += 1
+                if cutproject.scale_by_conjugate(u, [q]) != [p] or not w.contains(u.element(q.a, q.b)):
                     failures += 1
     return SuiteResult("sigma-identities", checked, failures)
+
+
+def _suite_level_bridge(units: Sequence[QuadraticUnit], tables: dict, i_max: int, b_span: int) -> SuiteResult:
+    """The window [0, beta**i) (family a, even i) or [1 - beta**i, 1)
+    (otherwise) selects exactly the b that are level-i mismatch positions."""
+    checked = failures = 0
+    for u in units:
+        t = tables[u]
+        for i in range(1, i_max + 1):
+            p = beta_pow(u, t, i)
+            if beatty.mismatch_epsilon(u, i) < 0:
+                w = cutproject.Window(u.element(0, 0), p)
+            else:
+                w = cutproject.Window(1 - p, u.element(1, 0))
+            got = [q.b for q in cutproject.cut_points(u, w, -b_span, b_span)]
+            want = [r.j for r in beatty.mismatches_between(u, t, i, -b_span, b_span)]
+            checked += len(want) + 1
+            if got != want:
+                failures += 1
+    return SuiteResult("level-bridge", checked, failures)
 
 
 def run_suites(
@@ -224,24 +237,22 @@ def run_suites(
             raise ValueError(f"unknown suite {name!r}")
     if window < 0:
         raise ValueError(f"window radius must be >= 0, got {window}")
+    if b_span < 0:
+        raise ValueError(f"b span must be >= 0, got {b_span}")
     grid = list(units) if units is not None else default_units()
     tables = {u: GFib.for_level(u, max(i_max, freq_i_max)) for u in grid}
 
-    results = []
-    for name in chosen:
-        if name == "range-law":
-            results.append(_suite_range_law(grid, tables, i_max, window))
-        elif name == "criterion-equivalence":
-            results.append(_suite_criterion_equivalence(grid, tables, i_max, window, fault_j))
-        elif name == "set-equivalence":
-            results.append(_suite_set_equivalence(grid, tables, i_max, window))
-        elif name == "frequency":
-            results.append(_suite_frequency(grid, tables, freq_i_max, freq_n))
-        elif name == "power-identities":
-            results.append(_suite_power_identities(grid, tables))
-        else:
-            results.append(_suite_sigma_identities(grid, tables, b_span))
-    return results
+    runners = {
+        "range-law": lambda: _suite_range_law(grid, tables, i_max, window),
+        "criterion-equivalence": lambda: _suite_criterion_equivalence(grid, tables, i_max, window, fault_j),
+        "set-equivalence": lambda: _suite_set_equivalence(grid, tables, i_max, window),
+        "frequency": lambda: _suite_frequency(grid, tables, freq_i_max, freq_n),
+        "power-identities": lambda: _suite_power_identities(grid, tables),
+        "unit-interval": lambda: _suite_unit_interval(grid, b_span),
+        "sigma-identities": lambda: _suite_sigma_identities(grid, tables, b_span),
+        "level-bridge": lambda: _suite_level_bridge(grid, tables, i_max, b_span),
+    }
+    return [runners[name]() for name in chosen]
 
 
 def render_report(results: Sequence[SuiteResult]) -> str:

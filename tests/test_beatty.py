@@ -200,6 +200,19 @@ def test_recover_k_round_trip(units):
                 assert recover_k(u, t, i, r.j) == r.k, (u, i, r)
 
 
+def test_routines_need_the_table_only_up_to_g_i(units):
+    # the closed form derives G_{i+1} from the recurrence, so a table that
+    # ends at G_i serves every routine at level i
+    i = 12
+    for u in units:
+        short, deep = GFib.build(u, i), TABLES[u]
+        records = mismatch_set(u, short, i, -5, 5)
+        assert records == mismatch_set(u, deep, i, -5, 5)
+        lo, hi = records[0].j, records[-1].j
+        assert mismatches_between(u, short, i, lo, hi) == mismatches_between(u, deep, i, lo, hi) == records
+        assert [recover_k(u, short, i, r.j) for r in records] == [r.k for r in records]
+
+
 # ---------------------------------------------------------------- scans
 
 

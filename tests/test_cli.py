@@ -15,7 +15,7 @@ import pytest
 
 from beattymatch import GFib, ZBeta, beta_pow, brute_force_mismatches, make_unit, mismatch_set
 from beattymatch import cli
-from beattymatch.cli import BLOCK_ROWS, PLOT_MAX_CELLS, PLOT_MAX_POINTS, main, parse_endpoint
+from beattymatch.cli import BLOCK_ROWS, CUT_MAX_WIDTH, PLOT_MAX_CELLS, PLOT_MAX_POINTS, main, parse_endpoint
 
 
 def run_cli(capsys, *argv):
@@ -586,6 +586,23 @@ def test_plot_help_names_the_caps(capsys):
     code, out, _ = run_cli(capsys, "plot", "--help")
     assert code == 0
     assert str(PLOT_MAX_POINTS) in out and str(PLOT_MAX_CELLS) in out
+
+
+def test_cut_width_cap(capsys, tmp_path):
+    # floor(hi - lo) + 1 == CUT_MAX_WIDTH is the widest legal window
+    code, out, _ = run_cli(capsys, "cut", "--hi", str(CUT_MAX_WIDTH - 1), "--from", "0", "--to", "0")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["a", "b"]
+    assert rows == [[str(a), "0"] for a in range(CUT_MAX_WIDTH - 1)]
+    code, out, err = run_cli(capsys, "cut", "--hi", str(CUT_MAX_WIDTH), "--from", "0", "--to", "0")
+    assert (code, out) == (1, "")
+    assert str(CUT_MAX_WIDTH) in err
+    target = tmp_path / "cut.out"
+    assert run_cli(capsys, "cut", "--hi", "1000000000", "--out", str(target))[0] == 1
+    assert not target.exists()
+    code, out, _ = run_cli(capsys, "cut", "--help")
+    assert code == 0 and str(CUT_MAX_WIDTH) in out
 
 
 # ---------------------------------------------------------------- atomic --out

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from beattymatch import Family, GFib, make_unit, verify_power_identity
+from beattymatch import Family, GFib, ZBeta, beta_pow, make_unit
 
 
 def test_golden_table():
@@ -32,6 +32,12 @@ def test_minimal_table():
 def test_default_length(units):
     for u in units:
         assert len(GFib.build(u)) == 65  # G_0..G_64
+
+
+def test_for_level_reaches_g_i(units):
+    for u in units:
+        assert len(GFib.for_level(u, 12)) == 65
+        assert len(GFib.for_level(u, 70)) == 71  # G_0..G_70
 
 
 def test_recurrence_holds_everywhere(units, tables):
@@ -75,4 +81,4 @@ def test_tampered_table_rejected():
 def test_power_identity_spot_checks(units, tables):
     for u in units:
         for i in (1, 2, 3, 7, 20):
-            assert verify_power_identity(u, tables[u], i)
+            assert beta_pow(u, tables[u], i) == ZBeta(0, 1, u) ** i

@@ -50,6 +50,8 @@ def test_unknown_suite_rejected():
         run_suites(names=["no-such-suite"])
     with pytest.raises(ValueError):
         run_suites(names=["range-law"], window=-1)
+    with pytest.raises(ValueError):
+        run_suites(names=["unit-interval"], b_span=-1)
 
 
 def test_fault_injection_breaks_equivalence_only():
