@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .gfib import GFib
 from .units import Family, InvariantError, QuadraticUnit, UnitMismatch, beta_pow
@@ -24,8 +24,7 @@ class NotAMismatch(ValueError):
     """Inverse lookup requested for a position that matches."""
 
 
-@dataclass(frozen=True)
-class MismatchRecord:
+class MismatchRecord(NamedTuple):
     """One exceptional position.
 
     ``k`` is the enumeration index that produced ``j``; ``None`` marks

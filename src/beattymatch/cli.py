@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import verify
 from .beatty import floor_window, frequency_scan, index_range, mismatch_set
 from .cutproject import Window, cut_points
-from .gfib import GFib
+from .gfib import MAX_TABLE_BITS, GFib
 from .units import DomainError, QuadraticUnit, UnitMismatch, ZBeta, make_unit
 
 SVG_WIDTH = 800
@@ -190,7 +190,10 @@ def cmd_seq(args: argparse.Namespace) -> int:
 def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, special: str) -> Iterator[list[tuple]]:
     for k0 in range(ks.start, ks.stop, BLOCK_ROWS):
         records = mismatch_set(unit, table, i, k0, min(k0 + BLOCK_ROWS, ks.stop) - 1)
-        yield [(r.j, special if r.k is None else r.k, r.epsilon) for r in records]
+        # the extra element, if any, fills the k = 0 slot, at index -k0
+        if k0 <= 0 < k0 + len(records) and records[-k0].k is None:
+            records[-k0] = records[-k0]._replace(k=special)
+        yield records
 
 
 def cmd_mismatch(args: argparse.Namespace) -> int:
@@ -250,7 +253,7 @@ def _cut_blocks(unit: QuadraticUnit, window: Window, width: int, b_lo: int, b_hi
     # one b holds width - 1 or width points
     step = max(1, BLOCK_ROWS // width)
     for b0 in range(b_lo, b_hi + 1, step):
-        yield [(p.a, p.b) for p in cut_points(unit, window, b0, min(b0 + step - 1, b_hi))]
+        yield cut_points(unit, window, b0, min(b0 + step - 1, b_hi))
 
 
 def cmd_cut(args: argparse.Namespace) -> int:
@@ -468,7 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cut.add_argument("--out", default=None)
     p_cut.set_defaults(handler=cmd_cut)
 
-    p_ver = sub.add_parser("verify", help="run the cross-check suites")
+    p_ver = sub.add_parser(
+        "verify", help="run the cross-check suites",
+        description=f"Run the cross-check suites over the six-unit grid.  Refused (exit 1): --window "
+                    f"above {verify.MAX_WINDOW}, --b-span above {verify.MAX_B_SPAN}, and an --i-max at which a "
+                    f"recurrence table could exceed {MAX_TABLE_BITS} bits.",
+    )
     p_ver.add_argument("--suite", dest="suites", action="append", choices=verify.SUITES,
                        default=None, help="run one suite (repeatable; default all)")
     p_ver.add_argument("--i-max", dest="i_max", type=int, default=verify.DEFAULT_I_MAX)

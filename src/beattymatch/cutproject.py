@@ -10,14 +10,13 @@ analysis a literal list comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .beatty import floor_window
 from .units import Family, QuadraticUnit, UnitMismatch, ZBeta
 
 
-@dataclass(frozen=True)
-class LatticePoint:
+class LatticePoint(NamedTuple):
     a: int
     b: int
 
@@ -38,9 +37,6 @@ class Window:
     @property
     def unit(self) -> QuadraticUnit:
         return self.lo.unit
-
-    def is_empty(self) -> bool:
-        return self.lo == self.hi
 
     def contains(self, x: ZBeta) -> bool:
         return (x - self.lo).sign() >= 0 and (x - self.hi).sign() < 0

@@ -10,11 +10,12 @@ package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .units import Family, QuadraticUnit
 
 DEFAULT_LENGTH = 64
+# for_level refuses a table whose entries could together exceed this many bits
+MAX_TABLE_BITS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,19 @@ class GFib:
     @classmethod
     def for_level(cls, unit: QuadraticUnit, i: int) -> "GFib":
         """Table long enough for every routine at shift levels up to i:
-        G_0..G_i, and never shorter than the default."""
-        return cls.build(unit, max(DEFAULT_LENGTH, i))
+        G_0..G_i, and never shorter than the default.
+
+        G_n <= (m + 1)**(n - 1), so the n + 1 entries hold at most
+        n**2 * bit_length(m) / 2 bits; a table past MAX_TABLE_BITS is
+        refused with ValueError before anything is built.
+        """
+        n = max(DEFAULT_LENGTH, i)
+        if n * n * unit.m.bit_length() // 2 > MAX_TABLE_BITS:
+            raise ValueError(f"a table G_0..G_{n} for m={unit.m} exceeds the cap of {MAX_TABLE_BITS} bits")
+        return cls.build(unit, n)
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-

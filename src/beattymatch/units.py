@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Sequence, Union
 
 
@@ -39,31 +40,25 @@ class InvariantError(ValueError):
 class QuadraticUnit:
     """The unit beta of one family, identified by the parameter m.
 
-    ``D`` is the discriminant m^2 + 4 (family a) or m^2 - 4 (family b);
-    use :func:`make_unit` rather than filling it in by hand.
+    ``D`` is the discriminant m^2 + 4 (family a) or m^2 - 4 (family b),
+    derived from the family and m.
     """
 
     family: Family
     m: int
-    D: int
+    D: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.family is Family.PLUS:
             if self.m < 1:
                 raise DomainError(f"family a requires m >= 1, got m={self.m}")
-            expected = self.m * self.m + 4
+            disc = self.m * self.m + 4
         else:
             if self.m < 3:
                 raise DomainError(f"family b requires m >= 3, got m={self.m}")
-            expected = self.m * self.m - 4
-        if self.D != expected:
-            raise DomainError(f"discriminant for m={self.m} must be {expected}, got {self.D}")
-        r = math.isqrt(self.D)
-        if r * r == self.D:
-            raise DomainError(f"discriminant {self.D} is a perfect square")
-        # product of the two roots is -1 (family a) or +1 (family b)
-        if self.m * self.m - self.D != (-4 if self.family is Family.PLUS else 4):
-            raise InvariantError(f"{self}: m^2 - D = {self.m * self.m - self.D} gives the wrong root product")
+            disc = self.m * self.m - 4
+        # D is never a square (5 at m = 1, else strictly between m^2 and (m +- 1)^2), and m^2 - D = -+4
+        object.__setattr__(self, "D", disc)
 
     def floor_mul(self, j: int) -> int:
         """Exact floor of j*beta for any integer j."""
@@ -110,11 +105,10 @@ class QuadraticUnit:
 
 def make_unit(family: Union[Family, str], m: int) -> QuadraticUnit:
     """Validated constructor; accepts the enum or its letter "a"/"b"."""
-    fam = family if isinstance(family, Family) else Family(family)
-    disc = m * m + 4 if fam is Family.PLUS else m * m - 4
-    return QuadraticUnit(fam, m, disc)
+    return QuadraticUnit(family if isinstance(family, Family) else Family(family), m)
 
 
+@total_ordering
 @dataclass(frozen=True, eq=False)
 class ZBeta:
     """Ring element a + b*beta with exact integer coordinates."""
@@ -138,12 +132,7 @@ class ZBeta:
     __radd__ = __add__
 
     def __sub__(self, other: Union[int, "ZBeta"]) -> "ZBeta":
-        if isinstance(other, int):
-            return ZBeta(self.a - other, self.b, self.unit)
-        if not isinstance(other, ZBeta):
-            return NotImplemented
-        self._check_unit(other)
-        return ZBeta(self.a - other.a, self.b - other.b, self.unit)
+        return self + (-other)
 
     def __rsub__(self, other: Union[int, "ZBeta"]) -> "ZBeta":
         return (-self) + other
@@ -192,21 +181,6 @@ class ZBeta:
     def ceil(self) -> int:
         return -(-self).floor()
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def approx(self) -> float:
-        """Float value, display only."""
-        return self.a + self.b * self.unit.beta_approx()
-
-    def _diff_sign(self, other: Union[int, "ZBeta"]) -> Union[int, None]:
-        if isinstance(other, int):
-            return self.unit.pair_sign(self.a - other, self.b)
-        if isinstance(other, ZBeta):
-            self._check_unit(other)
-            return self.unit.pair_sign(self.a - other.a, self.b - other.b)
-        return None
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             return self.b == 0 and self.a == other
@@ -220,28 +194,10 @@ class ZBeta:
         return hash((self.a, self.b, self.unit))
 
     def __lt__(self, other: Union[int, "ZBeta"]) -> bool:
-        s = self._diff_sign(other)
-        if s is None:
+        # total_ordering derives <=, > and >= from this and __eq__
+        if not isinstance(other, (int, ZBeta)):
             return NotImplemented
-        return s < 0
-
-    def __le__(self, other: Union[int, "ZBeta"]) -> bool:
-        s = self._diff_sign(other)
-        if s is None:
-            return NotImplemented
-        return s <= 0
-
-    def __gt__(self, other: Union[int, "ZBeta"]) -> bool:
-        s = self._diff_sign(other)
-        if s is None:
-            return NotImplemented
-        return s > 0
-
-    def __ge__(self, other: Union[int, "ZBeta"]) -> bool:
-        s = self._diff_sign(other)
-        if s is None:
-            return NotImplemented
-        return s >= 0
+        return (self - other).sign() < 0
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}*beta"

@@ -33,6 +33,9 @@ DEFAULT_I_MAX = 12
 DEFAULT_WINDOW = 10_000
 DEFAULT_FREQ_N = 100_000
 DEFAULT_B_SPAN = 200
+# the window suites hold 2*window + 1 floors per unit, the cut suites 2*b_span + 1 points per window
+MAX_WINDOW = 1 << 17
+MAX_B_SPAN = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -222,7 +225,6 @@ def run_suites(
     i_max: int = DEFAULT_I_MAX,
     window: int = DEFAULT_WINDOW,
     freq_n: int = DEFAULT_FREQ_N,
-    freq_i_max: int = 10,
     b_span: int = DEFAULT_B_SPAN,
     fault_j: Optional[int] = None,
 ) -> list[SuiteResult]:
@@ -235,18 +237,18 @@ def run_suites(
     for name in chosen:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    if window < 0:
-        raise ValueError(f"window radius must be >= 0, got {window}")
-    if b_span < 0:
-        raise ValueError(f"b span must be >= 0, got {b_span}")
+    if not 0 <= window <= MAX_WINDOW:
+        raise ValueError(f"window radius must be in 0..{MAX_WINDOW}, got {window}")
+    if not 0 <= b_span <= MAX_B_SPAN:
+        raise ValueError(f"b span must be in 0..{MAX_B_SPAN}, got {b_span}")
     grid = list(units) if units is not None else default_units()
-    tables = {u: GFib.for_level(u, max(i_max, freq_i_max)) for u in grid}
+    tables = {u: GFib.for_level(u, i_max) for u in grid}
 
     runners = {
         "range-law": lambda: _suite_range_law(grid, tables, i_max, window),
         "criterion-equivalence": lambda: _suite_criterion_equivalence(grid, tables, i_max, window, fault_j),
         "set-equivalence": lambda: _suite_set_equivalence(grid, tables, i_max, window),
-        "frequency": lambda: _suite_frequency(grid, tables, freq_i_max, freq_n),
+        "frequency": lambda: _suite_frequency(grid, tables, i_max, freq_n),
         "power-identities": lambda: _suite_power_identities(grid, tables),
         "unit-interval": lambda: _suite_unit_interval(grid, b_span),
         "sigma-identities": lambda: _suite_sigma_identities(grid, tables, b_span),

@@ -16,8 +16,7 @@ from beattymatch.cli import main as cli_main
 
 I_MAX = 12
 J_WINDOW = 10_000
-FREQ_N = 100_000
-FREQ_I_MAX = 10
+FREQ_N = 10**30
 B_WINDOW = 1_000
 SIGMA_B_WINDOW = 300
 BRIDGE_B_WINDOW = 500
@@ -48,7 +47,7 @@ def test_criterion_03_set_equivalence():
 
 
 def test_criterion_04_frequency():
-    _delegate(4, "frequency", freq_n=FREQ_N, freq_i_max=FREQ_I_MAX)
+    _delegate(4, "frequency", i_max=I_MAX, freq_n=FREQ_N)
 
 
 def test_criterion_05_power_identities():

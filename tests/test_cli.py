@@ -16,6 +16,8 @@ import pytest
 from beattymatch import GFib, ZBeta, beta_pow, brute_force_mismatches, make_unit, mismatch_set
 from beattymatch import cli
 from beattymatch.cli import BLOCK_ROWS, CUT_MAX_WIDTH, PLOT_MAX_CELLS, PLOT_MAX_POINTS, main, parse_endpoint
+from beattymatch.gfib import MAX_TABLE_BITS
+from beattymatch.verify import MAX_B_SPAN, MAX_WINDOW
 
 
 def run_cli(capsys, *argv):
@@ -476,12 +478,14 @@ def test_seq_at_block_seams(capsys, extra):
     assert out == json_oracle(config, [{"j": j, "floor": f} for j, f in rows])
 
 
-@pytest.mark.parametrize("extra", (-1, 0, 1))
-def test_mismatch_at_block_seams(capsys, extra):
-    # the window holds BLOCK_ROWS + extra positions, the special one at k = 0 among them
+@pytest.mark.parametrize("k_lo, extra", ((-5, -1), (-5, 0), (-5, 1), (-BLOCK_ROWS - 5, 1)),
+                         ids=("-1", "0", "1", "later-block"))
+def test_mismatch_at_block_seams(capsys, k_lo, extra):
+    # the window holds the positions k_lo..BLOCK_ROWS + extra - 6, the special
+    # one at k = 0 among them: in the first block, or inside the second
     unit = make_unit("a", 1)
     table = GFib.build(unit)
-    records = mismatch_set(unit, table, 3, -5, BLOCK_ROWS + extra - 6)
+    records = mismatch_set(unit, table, 3, k_lo, BLOCK_ROWS + extra - 6)
     j_lo, j_hi = records[0].j, records[-1].j
     args = ("mismatch", "--family", "a", "--m", "1", "--i", "3", f"--from={j_lo}", f"--to={j_hi}")
     code, out, _ = run_cli(capsys, *args)
@@ -603,6 +607,31 @@ def test_cut_width_cap(capsys, tmp_path):
     assert not target.exists()
     code, out, _ = run_cli(capsys, "cut", "--help")
     assert code == 0 and str(CUT_MAX_WIDTH) in out
+
+
+def test_verify_and_table_caps(capsys, tmp_path):
+    # one past each cap exits 1 before anything is built or written
+    target = tmp_path / "refused.out"
+    for argv in (("verify", "--suite", "range-law", "--window", str(MAX_WINDOW + 1)),
+                 ("verify", "--suite", "unit-interval", "--b-span", str(MAX_B_SPAN + 1)),
+                 ("verify", "--suite", "frequency", "--i-max", "100000"),
+                 ("freq", "--m", "1000000", "--i", "100000"),
+                 ("mismatch", "--m", "1000000", "--i", "100000"),
+                 ("plot", "--m", "1000000", "--i", "100000")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "error" in err
+        assert run_cli(capsys, *argv, "--out", str(target))[0] == 1
+        assert not target.exists()
+    # the caps themselves are legal, and so is an ordinary level
+    args = ("verify", "--suite", "power-identities", "--window", str(MAX_WINDOW), "--b-span", str(MAX_B_SPAN))
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and "overall: PASS" in out
+    code, out, _ = run_cli(capsys, "freq", "--m", "1000000", "--i", "100", "--n", "5")
+    assert code == 0 and out.startswith("i,n,count,")
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert all(str(cap) in out for cap in (MAX_WINDOW, MAX_B_SPAN, MAX_TABLE_BITS))
 
 
 # ---------------------------------------------------------------- atomic --out

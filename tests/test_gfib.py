@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from beattymatch import Family, GFib, ZBeta, beta_pow, make_unit
+from beattymatch.gfib import MAX_TABLE_BITS
 
 
 def test_golden_table():
@@ -38,6 +39,17 @@ def test_for_level_reaches_g_i(units):
     for u in units:
         assert len(GFib.for_level(u, 12)) == 65
         assert len(GFib.for_level(u, 70)) == 71  # G_0..G_70
+
+
+def test_for_level_refuses_tables_past_the_bit_cap(monkeypatch):
+    # n**2 * bit_length(m) / 2 against MAX_TABLE_BITS, decided before building
+    monkeypatch.setattr(GFib, "build", classmethod(lambda cls, unit, n: n))
+    for m, widest in ((1, 92681), (10**6, 20724)):
+        u = make_unit("a", m)
+        assert GFib.for_level(u, widest) == widest
+        with pytest.raises(ValueError, match=str(MAX_TABLE_BITS)):
+            GFib.for_level(u, widest + 1)
+    assert GFib.for_level(make_unit("a", 10**6), 20000) == 20000
 
 
 def test_recurrence_holds_everywhere(units, tables):

@@ -49,8 +49,21 @@ def test_make_unit_rejects_out_of_range_m():
 def test_direct_construction_checks_discriminant():
     from beattymatch import QuadraticUnit
 
+    assert QuadraticUnit(Family.PLUS, 1).D == 5
     with pytest.raises(DomainError):
-        QuadraticUnit(Family.PLUS, 1, 6)
+        QuadraticUnit(Family.MINUS, 2)
+    with pytest.raises(TypeError):
+        QuadraticUnit(Family.PLUS, 1, 5)
+
+
+def test_discriminant_is_never_a_square():
+    # the reason QuadraticUnit needs no perfect-square or root-product check
+    for family, first in ((Family.PLUS, 1), (Family.MINUS, 3)):
+        for m in range(first, 10**4 + 1):
+            u = make_unit(family, m)
+            r = math.isqrt(u.D)
+            assert r * r != u.D, u
+            assert m * m - u.D == (-4 if family is Family.PLUS else 4), u
 
 
 def test_conjugate_product_relation():
@@ -124,7 +137,7 @@ def test_sign_is_odd(u, a, b):
 
 
 def test_zero_iff_both_coordinates_zero(golden):
-    assert golden.element(0, 0).is_zero()
+    assert golden.element(0, 0) == 0
     assert golden.element(0, 0).sign() == 0
     # beta is irrational: no other lattice combination hits zero
     assert golden.element(5, -8).sign() != 0

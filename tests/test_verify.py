@@ -32,13 +32,13 @@ def test_suite_selection_order_is_canonical():
 
 
 def test_frequency_levels_past_i_max_get_a_long_enough_table():
-    # tables are sized from max(i_max, freq_i_max), not from i_max alone
-    (result,) = run_suites(names=["frequency"], freq_i_max=70, freq_n=10)
+    # the frequency suite runs levels 1..i_max, on tables sized from i_max
+    (result,) = run_suites(names=["frequency"], i_max=70, freq_n=10)
     assert result.passed and result.checked == 6 * 70
 
 
 def test_frequency_note_is_the_exact_worst_remainder():
-    (result,) = run_suites(names=["frequency"], freq_i_max=3, freq_n=0)
+    (result,) = run_suites(names=["frequency"], i_max=3, freq_n=0)
     # at n = 0 the count is 1 exactly at family a, even i; the worst
     # |count - beta**i| is 1 - beta**2 = 3*beta = 0.9083... for family a,
     # m = 3, floored to 3 decimals
