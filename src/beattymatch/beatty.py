@@ -4,16 +4,18 @@ Shifting the argument of j |-> floor(j*beta) by a table entry G_i
 shifts the value by G_{i-1} at almost every j.  The exceptional
 positions admit an exact closed-form enumeration, their membership is
 a single fractional-part test, and their density over growing windows
-is beta**i.  Whole windows of floors come from one fixed-point sum whose
-error bracket is certified, with an exact fallback where it is too wide.
+is beta**i.  Whole windows of floors come from one fixed-point sum at a
+precision where no error bracket can reach an integer.
 Everything here is integer-exact; the only float is the display target
 carried by a scan summary.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .gfib import GFib
@@ -95,55 +97,53 @@ def is_mismatch(unit: QuadraticUnit, table: GFib, i: int, j: int) -> bool:
 
 @dataclass(frozen=True)
 class FloorWindow:
-    """Exact floors of j*beta for j in [j0, j0 + len(floors)), each with a
-    certified low end of its fractional part at the scale 2**bits:
-    frac((j0 + t)*beta) * 2**bits lies in [lows[t], lows[t] + t + 1).
-    The lists are shared, not copied; treat them as read-only.
+    """Exact floors of j*beta for j in [j0, j0 + len(floors)) and, computed
+    from the sums on first read, certified lows: frac((j0 + t)*beta) * 2**bits
+    lies in [lows[t], lows[t] + t + 1).  The lists are shared; treat them as read-only.
     """
 
     j0: int
     bits: int
     floors: list[int]
-    lows: list[int]
+    sums: range
+
+    @cached_property
+    def lows(self) -> list[int]:
+        mask = (1 << self.bits) - 1
+        lows = [s & mask for s in self.sums]
+        if 0 <= -self.j0 < len(lows):
+            lows[-self.j0] = 0
+        return lows
 
 
 def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
-    """floor(j*beta) for the count integers j0 <= j < j0 + count, from two
-    square roots plus one per carry, in place of one per j.
+    """floor(j*beta) for the count integers j0 <= j < j0 + count, from three
+    square roots in all, in place of one per j.
 
-    Proof.  Let K = bits = 40 + count.bit_length(), A = floor(j0*beta*2**K)
-    and P = floor(beta*2**K), both exact floors.  Then j0*beta*2**K lies in
-    [A, A + 1) and t*beta*2**K in [t*P, t*P + t] for t >= 0, so with
-    S_t = A + t*P, x_t = (j0 + t)*beta*2**K lies in [S_t, S_t + t + 1).
-    Write S_t = q*2**K + r with 0 <= r < 2**K.  If r + t + 1 <= 2**K the
-    whole bracket sits in [q*2**K, (q + 1)*2**K), so floor((j0 + t)*beta)
-    = q and frac((j0 + t)*beta)*2**K = x_t - q*2**K lies in [r, r + t + 1).
-    Otherwise (the carry case: x_t may have crossed (q + 1)*2**K) the floor
-    f comes from floor_mul, and x_t - f*2**K, which lies in [0, 2**K) and
-    in [S_t - f*2**K, S_t - f*2**K + t + 1), has low end
-    max(0, S_t - f*2**K) and still lies below that plus t + 1.  Since
-    t < count <= 2**(K - 40), the carry case needs frac(j*beta) within
-    2**-40 of 1: the convergent denominators j = +-G_n, or the exact zero
-    at j = 0 reached from a negative anchor.
+    Proof.  With J = max(|j0|, |j0 + count - 1|, 1), K = bits = bit_length(count)
+    + bit_length(J*(isqrt(D) + 1) + 1) makes 2**K exceed count*(J*sqrt(D) + 1)
+    and 1/beta.  A = floor(j0*beta*2**K) and P = floor(beta*2**K) >= 1 are exact,
+    so x_t = (j0 + t)*beta*2**K lies in [S_t, S_t + t + 1) for S_t = A + t*P.
+    Write S_t = q*2**K + r, 0 <= r < 2**K.  If r + t + 1 > 2**K, x_t is within
+    t < count of (q + 1)*2**K, so |j*beta - (q + 1)| < 1/(|j|*sqrt(D) + 1).  But
+    for j != 0, |p - j*beta|*|p - j*beta'| = |N(p - j*beta)| >= 1 with
+    |beta - beta'| = sqrt(D) gives |p - j*beta| > 1/(1 + |j|*sqrt(D)) whenever
+    it is below 1.  So floor(j*beta) = q and frac(j*beta)*2**K lies in [r, r + t + 1);
+    at j = 0 (from a negative anchor) x_t = 0 and both are 0.  The first floor
+    is exact (A >> K); the last is checked against floor_mul.
     """
     if count < 0:
         raise ValueError(f"window length must be >= 0, got {count}")
-    bits = 40 + count.bit_length()
-    mask = (1 << bits) - 1
-    fm = unit.floor_mul
-    step = fm(1 << bits)
-    start = fm(j0 << bits)
+    last = j0 + count - 1
+    bits = count.bit_length() + (max(abs(j0), abs(last), 1) * (math.isqrt(unit.D) + 1) + 1).bit_length()
+    step, start = unit.floor_mul(1 << bits), unit.floor_mul(j0 << bits)
     sums = range(start, start + count * step, step)
     floors = [s >> bits for s in sums]
-    lows = [s & mask for s in sums]
-    for t in [t for t, r in enumerate(lows) if r + t > mask]:
-        s = sums[t]
-        f = fm(j0 + t)
-        if f - floors[t] not in (0, 1):
-            raise InvariantError(f"{unit}: floor of {j0 + t}*beta is {f}, outside the bracket of {floors[t]}")
-        floors[t] = f
-        lows[t] = max(0, s - (f << bits))
-    return FloorWindow(j0, bits, floors, lows)
+    if j0 < 0 <= last:
+        floors[-j0] = 0
+    if count and floors[-1] != unit.floor_mul(last):
+        raise InvariantError(f"{unit}: the window's floor of {last}*beta, {floors[-1]}, is not floor_mul's")
+    return FloorWindow(j0, bits, floors, sums)
 
 
 def discrepancy_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:

@@ -474,8 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser(
         "verify", help="run the cross-check suites",
         description=f"Run the cross-check suites over the six-unit grid.  Refused (exit 1): --window "
-                    f"above {verify.MAX_WINDOW}, --b-span above {verify.MAX_B_SPAN}, and an --i-max at which a "
-                    f"recurrence table could exceed {MAX_TABLE_BITS} bits.",
+                    f"above {verify.MAX_WINDOW}, --b-span above {verify.MAX_B_SPAN}, an --i-max below 1, and one at "
+                    f"which the grid's recurrence tables together could exceed {MAX_TABLE_BITS} bits.",
     )
     p_ver.add_argument("--suite", dest="suites", action="append", choices=verify.SUITES,
                        default=None, help="run one suite (repeatable; default all)")

@@ -54,14 +54,21 @@ class GFib:
         """Table long enough for every routine at shift levels up to i:
         G_0..G_i, and never shorter than the default.
 
-        G_n <= (m + 1)**(n - 1), so the n + 1 entries hold at most
-        n**2 * bit_length(m) / 2 bits; a table past MAX_TABLE_BITS is
-        refused with ValueError before anything is built.
+        A table past MAX_TABLE_BITS (see :meth:`size_bound`) is refused
+        with ValueError before anything is built.
         """
         n = max(DEFAULT_LENGTH, i)
-        if n * n * unit.m.bit_length() // 2 > MAX_TABLE_BITS:
+        if cls.size_bound(unit, i) > MAX_TABLE_BITS:
             raise ValueError(f"a table G_0..G_{n} for m={unit.m} exceeds the cap of {MAX_TABLE_BITS} bits")
         return cls.build(unit, n)
+
+    @staticmethod
+    def size_bound(unit: QuadraticUnit, i: int) -> int:
+        """Bits that :meth:`for_level` may hold at level i: G_n <= (m + 1)**(n - 1),
+        so the n + 1 entries, n = max(DEFAULT_LENGTH, i), hold at most
+        n**2 * bit_length(m) / 2 bits."""
+        n = max(DEFAULT_LENGTH, i)
+        return n * n * unit.m.bit_length() // 2
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]

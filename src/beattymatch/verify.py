@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import beatty, cutproject
-from .gfib import GFib
+from .gfib import MAX_TABLE_BITS, GFib
 from .units import Family, QuadraticUnit, ZBeta, beta_pow, make_unit
 
 SUITES = (
@@ -241,7 +241,11 @@ def run_suites(
         raise ValueError(f"window radius must be in 0..{MAX_WINDOW}, got {window}")
     if not 0 <= b_span <= MAX_B_SPAN:
         raise ValueError(f"b span must be in 0..{MAX_B_SPAN}, got {b_span}")
+    if i_max < 1:
+        raise ValueError(f"i_max must be >= 1, got {i_max}")
     grid = list(units) if units is not None else default_units()
+    if sum(GFib.size_bound(u, i_max) for u in grid) > MAX_TABLE_BITS:
+        raise ValueError(f"the tables of {len(grid)} units up to level {i_max} exceed the cap of {MAX_TABLE_BITS} bits")
     tables = {u: GFib.for_level(u, i_max) for u in grid}
 
     runners = {

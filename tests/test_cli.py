@@ -609,6 +609,15 @@ def test_cut_width_cap(capsys, tmp_path):
     assert code == 0 and str(CUT_MAX_WIDTH) in out
 
 
+def test_verify_refuses_levels_below_one(capsys):
+    # a run with no level to check must not print a passing report
+    for i_max in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--i-max", i_max,
+                                 "--suite", "range-law", "--suite", "frequency", "--suite", "level-bridge")
+        assert (code, out) == (1, ""), i_max
+        assert "i_max" in err
+
+
 def test_verify_and_table_caps(capsys, tmp_path):
     # one past each cap exits 1 before anything is built or written
     target = tmp_path / "refused.out"

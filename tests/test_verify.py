@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from beattymatch import Family
+from beattymatch import Family, GFib
+from beattymatch.gfib import MAX_TABLE_BITS
 from beattymatch.verify import SUITES, default_units, render_report, run_suites
 
 
@@ -52,6 +53,28 @@ def test_unknown_suite_rejected():
         run_suites(names=["range-law"], window=-1)
     with pytest.raises(ValueError):
         run_suites(names=["unit-interval"], b_span=-1)
+
+
+def test_levels_below_one_refused():
+    # a level-indexed suite at i_max < 1 would check nothing and pass
+    for i_max in (0, -3):
+        with pytest.raises(ValueError, match="i_max"):
+            run_suites(names=["range-law", "frequency", "level-bridge"], i_max=i_max)
+
+
+def test_table_cap_holds_for_the_whole_grid(monkeypatch):
+    # each table alone stays far below MAX_TABLE_BITS at these levels; the
+    # six of the default grid together reach it between 25 705 and 25 706
+    built = []
+    monkeypatch.setattr(GFib, "build", classmethod(lambda cls, unit, n: built.append((unit, n))))
+    assert run_suites(names=[], i_max=25_705) == []
+    assert built == [(u, 25_705) for u in default_units()]
+    assert sum(GFib.size_bound(u, 25_705) for u in default_units()) <= MAX_TABLE_BITS
+    del built[:]
+    with pytest.raises(ValueError, match="tables"):
+        run_suites(names=[], i_max=25_706)
+    assert built == []
+    assert all(GFib.size_bound(u, 25_706) <= MAX_TABLE_BITS for u in default_units())
 
 
 def test_fault_injection_breaks_equivalence_only():
