@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .gfib import GFib
-from .units import Family, InvariantError, QuadraticUnit, UnitMismatch, beta_pow
+from .units import Family, InvariantError, QuadraticUnit, UnitMismatch, ZBeta, beta_pow, mismatch_epsilon
 
 
 class NotAMismatch(ValueError):
@@ -63,11 +63,14 @@ def _require(table: GFib, unit: QuadraticUnit, i: int) -> None:
         raise IndexError(f"table of length {len(table)} has no entry {i}")
 
 
-def mismatch_epsilon(unit: QuadraticUnit, i: int) -> int:
-    """The single nonzero value the discrepancy can take at level i."""
-    if unit.family is Family.MINUS or i % 2:
-        return 1
-    return -1
+def mismatch_threshold(unit: QuadraticUnit, table: GFib, i: int) -> ZBeta:
+    """The threshold t of level i: j is a mismatch iff frac(j*beta) < t
+    when eps_i = -1, and iff frac(j*beta) >= t when eps_i = +1 (see
+    :func:`mismatch_epsilon`).  So t is beta**i or 1 - beta**i, and the
+    mismatches have density beta**i either way.
+    """
+    p = beta_pow(unit, table, i)
+    return p if mismatch_epsilon(unit, i) < 0 else 1 - p
 
 
 def discrepancy(unit: QuadraticUnit, table: GFib, i: int, j: int) -> int:
@@ -82,17 +85,13 @@ def discrepancy(unit: QuadraticUnit, table: GFib, i: int, j: int) -> int:
 
 def is_mismatch(unit: QuadraticUnit, table: GFib, i: int, j: int) -> bool:
     """Exact membership test, decided on the fractional part of j*beta
-    without evaluating the discrepancy.
-
-    Family a, even i: mismatch iff frac(j*beta) < beta**i.
-    Family a odd i, and family b: mismatch iff frac(j*beta) >= 1 - beta**i.
+    against :func:`mismatch_threshold` without evaluating the discrepancy.
     """
     _require(table, unit, i)
-    f = unit.floor_mul(j)
-    p = beta_pow(unit, table, i)
-    if unit.family is Family.PLUS and i % 2 == 0:
-        return unit.pair_sign(-f - p.a, j - p.b) < 0
-    return unit.pair_sign(-f - 1 + p.a, j + p.b) >= 0
+    t = mismatch_threshold(unit, table, i)
+    # frac(j*beta) < t iff j*beta - floor(j*beta) - t < 0
+    below = unit.pair_sign(-unit.floor_mul(j) - t.a, j - t.b) < 0
+    return below == (mismatch_epsilon(unit, i) < 0)
 
 
 @dataclass(frozen=True)
@@ -157,27 +156,24 @@ def discrepancy_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWind
 
 def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[bool]:
     """:func:`is_mismatch` at every j of ``base``, decided on its certified
-    fractional brackets against Q = floor(beta**i * 2**bits), an exact
-    floor with Q < beta**i * 2**bits < Q + 1.
+    fractional brackets against q = floor(t * 2**bits) for the level's
+    :func:`mismatch_threshold` t, an exact floor with q < t * 2**bits < q + 1.
 
-    Family a, even i (mismatch iff frac < beta**i): a bracket wholly below
-    Q is a mismatch, one from Q + 1 up is not.  Otherwise (mismatch iff
-    frac >= 1 - beta**i, which lies in (E - 1, E) at scale 2**bits for
-    E = 2**bits - Q): a bracket from E up is a mismatch, one wholly below
-    E - 1 is not.  A bracket that straddles the threshold goes to
-    :func:`is_mismatch`; at j = -G_i frac(j*beta) equals it exactly.
+    A bracket wholly below q lies below t, one from q + 1 up lies above
+    it; a mismatch is below t when eps_i = -1 and above it otherwise.  A
+    bracket that straddles the threshold goes to :func:`is_mismatch`; at
+    j = -G_i frac(j*beta) equals it exactly.
     """
     _require(table, unit, i)
-    q = (beta_pow(unit, table, i) * (1 << base.bits)).floor()
+    q = (mismatch_threshold(unit, table, i) * (1 << base.bits)).floor()
     j0 = base.j0
+    below = mismatch_epsilon(unit, i) < 0
+    above = not below
 
     def exact(t: int) -> bool:
         return is_mismatch(unit, table, i, j0 + t)
 
-    if unit.family is Family.PLUS and i % 2 == 0:
-        return [True if low + t < q else False if low > q else exact(t) for t, low in enumerate(base.lows)]
-    edge = (1 << base.bits) - q
-    return [True if low >= edge else False if low + t + 2 <= edge else exact(t) for t, low in enumerate(base.lows)]
+    return [below if low + t < q else above if low > q else exact(t) for t, low in enumerate(base.lows)]
 
 
 def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int, int], int]:
@@ -194,10 +190,9 @@ def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int, int], 
     from the recurrence, so the table need only reach G_i.
     """
     prev, cur = table[i - 1], table[i]
+    succ = unit.m * cur + unit.sign * prev
     if unit.family is Family.MINUS:
-        succ = unit.m * cur - prev
         return lambda k, f: k * succ - (f + 1) * cur
-    succ = unit.m * cur + prev
     slot0 = -cur if i % 2 else 0
     return lambda k, f: k * succ + f * cur if k else slot0
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .beatty import floor_window
-from .units import Family, QuadraticUnit, UnitMismatch, ZBeta
+from .units import QuadraticUnit, UnitMismatch, ZBeta
 
 
 class LatticePoint(NamedTuple):
@@ -81,9 +81,6 @@ def translate(points: Iterable[LatticePoint], t: int) -> list[LatticePoint]:
 def scale_by_conjugate(unit: QuadraticUnit, points: Iterable[LatticePoint]) -> list[LatticePoint]:
     """Multiply each pattern-space value a + b*conjugate by the conjugate
     root, in coordinates; matches scaling the window by beta."""
-    m = unit.m
-    if unit.family is Family.PLUS:
-        # conjugate^2 = 1 - m*conjugate
-        return [LatticePoint(p.b, p.a - m * p.b) for p in points]
-    # conjugate^2 = m*conjugate - 1
-    return [LatticePoint(-p.b, p.a + m * p.b) for p in points]
+    sign, m = unit.sign, unit.m
+    # conjugate^2 = sign*(1 - m*conjugate)
+    return [LatticePoint(sign * p.b, p.a - sign * m * p.b) for p in points]

@@ -1,7 +1,7 @@
 """Recurrence tables attached to a unit.
 
-G_0 = 0, G_1 = 1 and G_{n+2} = m*G_{n+1} + G_n (family a) or
-G_{n+2} = m*G_{n+1} - G_n (family b).  The entries are exactly the
+G_0 = 0, G_1 = 1 and G_{n+2} = m*G_{n+1} + sign*G_n, with the family
+sign +1 (family a) or -1 (family b).  The entries are exactly the
 integers that turn powers of beta into linear coordinates, so the
 table doubles as the coefficient store for every closed form in the
 package.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .units import Family, QuadraticUnit
+from .units import QuadraticUnit
 
 DEFAULT_LENGTH = 64
 # for_level refuses a table whose entries could together exceed this many bits
@@ -28,8 +28,7 @@ class GFib:
     def __post_init__(self) -> None:
         if len(self.values) < 2 or self.values[0] != 0 or self.values[1] != 1:
             raise ValueError("table must start with G_0=0, G_1=1")
-        m = self.unit.m
-        sign = 1 if self.unit.family is Family.PLUS else -1
+        m, sign = self.unit.m, self.unit.sign
         for n in range(len(self.values) - 2):
             if self.values[n + 2] != m * self.values[n + 1] + sign * self.values[n]:
                 raise ValueError(f"table breaks the recurrence at index {n + 2}")
@@ -40,13 +39,9 @@ class GFib:
         if n < 1:
             raise ValueError(f"table needs at least G_0..G_1, got n={n}")
         vals = [0, 1]
-        m = unit.m
-        if unit.family is Family.PLUS:
-            for _ in range(n - 1):
-                vals.append(m * vals[-1] + vals[-2])
-        else:
-            for _ in range(n - 1):
-                vals.append(m * vals[-1] - vals[-2])
+        m, sign = unit.m, unit.sign
+        for _ in range(n - 1):
+            vals.append(m * vals[-1] + sign * vals[-2])
         return cls(unit, tuple(vals))
 
     @classmethod

@@ -40,33 +40,29 @@ class InvariantError(ValueError):
 class QuadraticUnit:
     """The unit beta of one family, identified by the parameter m.
 
-    ``D`` is the discriminant m^2 + 4 (family a) or m^2 - 4 (family b),
-    derived from the family and m.
+    ``sign`` is the family sign sigma, +1 (family a) or -1 (family b), with
+    beta^2 = sigma*(1 - m*beta), and ``D`` = m^2 + 4*sigma is the
+    discriminant; both are derived from the family.
     """
 
     family: Family
     m: int
+    sign: int = field(init=False)
     D: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.family is Family.PLUS:
-            if self.m < 1:
-                raise DomainError(f"family a requires m >= 1, got m={self.m}")
-            disc = self.m * self.m + 4
-        else:
-            if self.m < 3:
-                raise DomainError(f"family b requires m >= 3, got m={self.m}")
-            disc = self.m * self.m - 4
-        # D is never a square (5 at m = 1, else strictly between m^2 and (m +- 1)^2), and m^2 - D = -+4
-        object.__setattr__(self, "D", disc)
+        sign = 1 if self.family is Family.PLUS else -1
+        if self.m < 2 - sign:
+            raise DomainError(f"family {self.family.value} requires m >= {2 - sign}, got m={self.m}")
+        object.__setattr__(self, "sign", sign)
+        # D is never a square (5 at m = 1, else strictly between m^2 and (m +- 1)^2), and m^2 - D = -4*sign
+        object.__setattr__(self, "D", self.m * self.m + 4 * sign)
 
     def floor_mul(self, j: int) -> int:
         """Exact floor of j*beta for any integer j."""
-        # j*beta == (half + c*sqrt(D)) / 2
-        if self.family is Family.PLUS:
-            half, c = -j * self.m, j
-        else:
-            half, c = j * self.m, -j
+        # beta = sign*(sqrt(D) - m)/2, so j*beta == (half + c*sqrt(D)) / 2
+        c = self.sign * j
+        half = -c * self.m
         if c >= 0:
             rad = math.isqrt(c * c * self.D)
         else:
@@ -95,9 +91,7 @@ class QuadraticUnit:
 
         Display and plotting only; exact decisions must never read it.
         """
-        if self.family is Family.PLUS:
-            return (math.sqrt(self.D) - self.m) / 2.0
-        return (self.m - math.sqrt(self.D)) / 2.0
+        return self.sign * (math.sqrt(self.D) - self.m) / 2.0
 
     def __str__(self) -> str:
         return f"beta[{self.family.value},m={self.m}]"
@@ -148,12 +142,9 @@ class ZBeta:
         self._check_unit(other)
         const = self.a * other.a
         lin = self.a * other.b + self.b * other.a
-        sq = self.b * other.b
-        if self.unit.family is Family.PLUS:
-            # beta^2 = 1 - m*beta
-            return ZBeta(const + sq, lin - self.unit.m * sq, self.unit)
-        # beta^2 = m*beta - 1
-        return ZBeta(const - sq, lin + self.unit.m * sq, self.unit)
+        sq = self.unit.sign * self.b * other.b
+        # beta^2 = sign*(1 - m*beta)
+        return ZBeta(const + sq, lin - self.unit.m * sq, self.unit)
 
     __rmul__ = __mul__
 
@@ -203,11 +194,16 @@ class ZBeta:
         return f"{self.a}{self.b:+d}*beta"
 
 
-def beta_pow(unit: QuadraticUnit, table: Sequence[int], i: int) -> ZBeta:
-    """Exact coordinates of beta**i read off a recurrence table.
+def mismatch_epsilon(unit: QuadraticUnit, i: int) -> int:
+    """The level sign eps_i = (-sign)**(i + 1): -1 for family a at even i,
+    +1 otherwise.  It is the single nonzero value the discrepancy can take
+    at level i, and beta**i = eps_i*(G_i*beta - G_{i-1})."""
+    return 1 if i % 2 else -unit.sign
 
-    Family a: beta**i = (-1)^i G_{i-1} + (-1)^{i+1} G_i beta.
-    Family b: beta**i = -G_{i-1} + G_i beta.
+
+def beta_pow(unit: QuadraticUnit, table: Sequence[int], i: int) -> ZBeta:
+    """Exact coordinates of beta**i read off a recurrence table:
+    beta**i = eps_i*(G_i*beta - G_{i-1}), see :func:`mismatch_epsilon`.
     """
     if i < 1:
         raise ValueError(f"power index must be >= 1, got {i}")
@@ -216,7 +212,5 @@ def beta_pow(unit: QuadraticUnit, table: Sequence[int], i: int) -> ZBeta:
     owner = getattr(table, "unit", None)
     if owner is not None and owner != unit:
         raise UnitMismatch("table belongs to a different unit")
-    prev, cur = table[i - 1], table[i]
-    if unit.family is Family.PLUS and i % 2 == 0:
-        return ZBeta(prev, -cur, unit)
-    return ZBeta(-prev, cur, unit)
+    eps = mismatch_epsilon(unit, i)
+    return ZBeta(-eps * table[i - 1], eps * table[i], unit)

@@ -153,9 +153,7 @@ def _suite_unit_interval(units: Sequence[QuadraticUnit], b_span: int) -> SuiteRe
 
 def _conjugate_preimage(unit: QuadraticUnit, p: cutproject.LatticePoint) -> cutproject.LatticePoint:
     # inverse of scale_by_conjugate on coordinates
-    if unit.family is Family.PLUS:
-        return cutproject.LatticePoint(p.b + unit.m * p.a, p.a)
-    return cutproject.LatticePoint(p.b + unit.m * p.a, -p.a)
+    return cutproject.LatticePoint(p.b + unit.m * p.a, unit.sign * p.a)
 
 
 def _sample_windows(unit: QuadraticUnit, table: GFib) -> list[cutproject.Window]:
@@ -200,19 +198,20 @@ def _suite_sigma_identities(units: Sequence[QuadraticUnit], tables: dict, b_span
 
 
 def _suite_level_bridge(units: Sequence[QuadraticUnit], tables: dict, i_max: int, b_span: int) -> SuiteResult:
-    """The window [0, beta**i) (family a, even i) or [1 - beta**i, 1)
-    (otherwise) selects exactly the b that are level-i mismatch positions."""
+    """The window [0, t) (eps_i = -1) or [t, 1) (eps_i = +1), for the
+    level's mismatch threshold t, selects exactly the b that are level-i
+    mismatch positions."""
     checked = failures = 0
     for u in units:
-        t = tables[u]
+        tab = tables[u]
         for i in range(1, i_max + 1):
-            p = beta_pow(u, t, i)
+            t = beatty.mismatch_threshold(u, tab, i)
             if beatty.mismatch_epsilon(u, i) < 0:
-                w = cutproject.Window(u.element(0, 0), p)
+                w = cutproject.Window(u.element(0, 0), t)
             else:
-                w = cutproject.Window(1 - p, u.element(1, 0))
+                w = cutproject.Window(t, u.element(1, 0))
             got = [q.b for q in cutproject.cut_points(u, w, -b_span, b_span)]
-            want = [r.j for r in beatty.mismatches_between(u, t, i, -b_span, b_span)]
+            want = [r.j for r in beatty.mismatches_between(u, tab, i, -b_span, b_span)]
             checked += len(want) + 1
             if got != want:
                 failures += 1
@@ -241,6 +240,8 @@ def run_suites(
         raise ValueError(f"window radius must be in 0..{MAX_WINDOW}, got {window}")
     if not 0 <= b_span <= MAX_B_SPAN:
         raise ValueError(f"b span must be in 0..{MAX_B_SPAN}, got {b_span}")
+    if freq_n < 0:
+        raise ValueError(f"frequency radius n must be >= 0, got {freq_n}")
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     grid = list(units) if units is not None else default_units()

@@ -12,6 +12,7 @@ from beattymatch import (
     GFib,
     NotAMismatch,
     UnitMismatch,
+    ZBeta,
     beta_pow,
     brute_force_mismatches,
     coverage_k,
@@ -77,6 +78,22 @@ def test_mismatch_epsilon_values():
     assert mismatch_epsilon(a1, 3) == 1
     assert mismatch_epsilon(b3, 1) == 1
     assert mismatch_epsilon(b3, 2) == 1
+
+
+def test_shift_certificate():
+    # floor(x + G_i*beta) - floor(x) = floor(G_i*beta) + [frac(x) >= 1 - frac(G_i*beta)]
+    # for every real x.  With floor(G_i*beta) = G_{i-1} + (eps - 1)/2 and
+    # frac(G_i*beta) + t = 1, exactly in Z[beta], the discrepancy at x = j*beta
+    # is eps*[frac(j*beta) < t] (eps = -1) or [frac(j*beta) >= t] (eps = +1):
+    # the range law and the one-threshold rule for every integer j.
+    units = [make_unit("a", m) for m in range(1, 41)] + [make_unit("b", m) for m in range(3, 43)]
+    for u in units:
+        t = GFib.build(u, 400)
+        for i in range(1, 401):
+            eps = mismatch_epsilon(u, i)
+            f = u.floor_mul(t[i])
+            assert f - t[i - 1] == (eps - 1) // 2, (u, i)
+            assert ZBeta(-f, t[i], u) + beatty.mismatch_threshold(u, t, i) == 1, (u, i)
 
 
 # ---------------------------------------------------------------- membership

@@ -618,6 +618,14 @@ def test_verify_refuses_levels_below_one(capsys):
         assert "i_max" in err
 
 
+def test_verify_refuses_negative_n(capsys):
+    # refused up front, not after the window suites have run
+    for argv in (("verify", "--n", "-1"), ("verify", "--suite", "range-law", "--n", "-1")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "radius n" in err
+
+
 def test_verify_and_table_caps(capsys, tmp_path):
     # one past each cap exits 1 before anything is built or written
     target = tmp_path / "refused.out"

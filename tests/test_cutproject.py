@@ -139,7 +139,7 @@ WIDTH_ST = st.sampled_from(((0, 0), (1, 0), (0, 1), (1, -1), (2, -1), (7, 3)))
 def test_cut_points_at_convergent_denominators(u, n, sign, delta, half, lo, width):
     # cut_points reads floor((b - lo.b)*beta) and floor((b - hi.b)*beta) from
     # two floor windows; (b - lo.b)*beta is closest to an integer at
-    # b - lo.b = +-G_n, where the windows take their exact carry path
+    # b - lo.b = +-G_n, the hardest points for the windows' certified brackets
     centre = sign * DEEP_TABLES[u][n] + delta + lo[1]
     w = Window(u.element(*lo), u.element(lo[0] + width[0], lo[1] + width[1]))
     b_lo, b_hi = centre - half, centre + half

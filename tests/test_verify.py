@@ -55,6 +55,14 @@ def test_unknown_suite_rejected():
         run_suites(names=["unit-interval"], b_span=-1)
 
 
+def test_negative_frequency_radius_refused(monkeypatch):
+    # refused before any suite runs, whichever suites are named
+    monkeypatch.setattr(GFib, "build", classmethod(lambda cls, unit, n: pytest.fail("table built")))
+    for names in (None, ["range-law"], ["frequency"]):
+        with pytest.raises(ValueError, match="radius n"):
+            run_suites(names=names, freq_n=-1)
+
+
 def test_levels_below_one_refused():
     # a level-indexed suite at i_max < 1 would check nothing and pass
     for i_max in (0, -3):
