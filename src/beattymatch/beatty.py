@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .gfib import GFib
-from .units import Family, InvariantError, QuadraticUnit, UnitMismatch, ZBeta, beta_pow, mismatch_epsilon
+from .units import InvariantError, QuadraticUnit, UnitMismatch, ZBeta, beta_pow, mismatch_epsilon
 
 
 class NotAMismatch(ValueError):
@@ -30,8 +30,7 @@ class MismatchRecord(NamedTuple):
     """One exceptional position.
 
     ``k`` is the enumeration index that produced ``j``; ``None`` marks
-    the single extra element (-G_i at odd i, family a) that the plain
-    k-formula does not generate.
+    the k = 0 record of family a at odd i, the extra element -G_i.
     """
 
     j: int
@@ -176,50 +175,43 @@ def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow)
     return [below if low + t < q else above if low > q else exact(t) for t, low in enumerate(base.lows)]
 
 
-def _position(unit: QuadraticUnit, table: GFib, i: int) -> Callable[[int, int], int]:
-    """The closed form (k, floor(k*beta)) |-> j(k) of the exceptional
-    positions at level i; the caller supplies the floor, one by one or
-    from a :func:`floor_window`.
+def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[int, int], int]]:
+    """The sign s = (-sigma)**i and the closed form (k, floor(s*k*beta)) |->
+    j(k) = k*G_{i+1} - eps_i*floor(s*k*beta)*G_i + lo.b of the exceptional
+    positions at level i, with lo.b = -G_i when eps_i = +1 and 0 otherwise;
+    the caller supplies the floor, one by one or from a :func:`floor_window`.
 
-    Family a: j = k*G_{i+1} + floor(k*beta)*G_i for k != 0; the k = 0
-    slot holds 0 at even i and the extra element -G_i at odd i.
-    Family b: j = k*G_{i+1} - (floor(k*beta) + 1)*G_i for every k.
-    j(k) is strictly increasing in k, the k = 0 slot included: a step
-    is at least G_{i+1} (family a) or G_{i+1} - G_i > 0 (family b).
-    The table is read once per level, not once per k; G_{i+1} comes
-    from the recurrence, so the table need only reach G_i.
+    j(k) is the b-coordinate of lo + beta**i*frac(s*k*beta) for the level's
+    window [lo, lo + beta**i), lo = 0 or 1 - beta**i (see
+    :func:`mismatch_threshold`).  x |-> lo + beta**i*x maps the points of
+    [0, 1) one-to-one onto those of the window, so each mismatch is j(k) for
+    exactly one k, k = 0 included; j(k) increases with k (see :func:`_last_index`).
+    G_{i+1} comes from the recurrence, so the table need only reach G_i.
     """
     prev, cur = table[i - 1], table[i]
     succ = unit.m * cur + unit.sign * prev
-    if unit.family is Family.MINUS:
-        return lambda k, f: k * succ - (f + 1) * cur
-    slot0 = -cur if i % 2 else 0
-    return lambda k, f: k * succ + f * cur if k else slot0
-
-
-def _is_special(unit: QuadraticUnit, i: int, k: int) -> bool:
-    """Whether slot k holds the extra element -G_i (family a, odd i)."""
-    return k == 0 and i % 2 == 1 and unit.family is Family.PLUS
+    eps = mismatch_epsilon(unit, i)
+    step, lo_b = eps * cur, -cur if eps > 0 else 0
+    return -unit.sign * eps, lambda k, f: k * succ - f * step + lo_b
 
 
 def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
     """The largest k with j(k) <= x, from a constant number of floors.
 
-    G_{i+1} + G_i*beta = beta**-i (family a) and G_{i+1} - G_i*beta =
-    beta**-i (family b) turn the closed forms into
-    beta**i * j(k) = k - beta**i*G_i*r with r = frac(k*beta) (family a,
-    k != 0), r = 1 (the odd-level extra element) or r = 1 - frac(k*beta)
-    (family b).  So |beta**i * j(k) - k| <= beta**i*G_i < 1, which puts
-    the answer at floor(beta**i * x) or one above it: starting there, a
-    single correcting step is the most ever taken.
+    With r = frac(s*k*beta), beta**-i = G_{i+1} + sigma*G_i*beta and
+    eps_i*s = -sigma, beta**i * j(k) = k + beta**i*(eps_i*G_i*r + lo.b) lies
+    in [k - beta**i*G_i, k] for either sign of eps_i, and beta**i*G_i =
+    (1 - (beta/beta')**i)/sqrt(D) < 1.  So j(k) is strictly increasing and the
+    answer is floor(beta**i * x) or one above it: starting there, a single
+    correcting step is the most ever taken.
     """
-    pos = _position(unit, table, i)
+    s, pos = _position(unit, table, i)
     fm = unit.floor_mul
     k = (beta_pow(unit, table, i) * x).floor()
     for _ in range(3):
-        if pos(k, fm(k)) > x:
+        if pos(k, fm(s * k)) > x:
             k -= 1
-        elif pos(k + 1, fm(k + 1)) <= x:
+        elif pos(k + 1, fm(s * (k + 1))) <= x:
             k += 1
         else:
             return k
@@ -227,23 +219,23 @@ def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
 
 
 def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:
-    """Closed-form enumeration of the exceptional positions for indices
-    k_lo..k_hi, sorted by position (see :func:`_position`), with the
-    floors of k*beta from one :func:`floor_window`.
-
-    The extra element -G_i of family a at odd i fills the k = 0 slot and
-    carries k = None.
+    """The exceptional positions j(k) of :func:`_position` for k_lo <= k <= k_hi,
+    sorted, with floor(s*k*beta) from one :func:`floor_window`, anchored at
+    -k_hi and read backwards when s = -1.  The k = 0 record of family a at
+    odd i (s = -1), the extra element -G_i, carries k = None.
     """
     _require(table, unit, i)
     if k_lo > k_hi:
         raise ValueError(f"index range {k_lo}..{k_hi} is empty")
     eps = mismatch_epsilon(unit, i)
-    pos = _position(unit, table, i)
+    s, pos = _position(unit, table, i)
     ks = range(k_lo, k_hi + 1)
-    floors = floor_window(unit, k_lo, len(ks)).floors
+    floors = floor_window(unit, k_lo if s > 0 else -k_hi, len(ks)).floors
+    if s < 0:
+        floors.reverse()
     records = [MismatchRecord(pos(k, f), k, eps) for k, f in zip(ks, floors)]
-    if _is_special(unit, i, 0) and k_lo <= 0 <= k_hi:
-        records[-k_lo] = MismatchRecord(pos(0, 0), None, eps)
+    if s < 0 and k_lo <= 0 <= k_hi:
+        records[-k_lo] = records[-k_lo]._replace(k=None)
     return records
 
 
@@ -272,10 +264,11 @@ def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]
         raise NotAMismatch(f"position {j} matches at level {i}")
     # beta**i * j(k) lies in (k - 1, k], see _last_index
     k = (beta_pow(unit, table, i) * j).ceil()
-    got = _position(unit, table, i)(k, unit.floor_mul(k))
+    s, pos = _position(unit, table, i)
+    got = pos(k, unit.floor_mul(s * k))
     if got != j:
         raise InvariantError(f"{unit} i={i}: exceptional position j={j} but the closed form gives j({k})={got}")
-    return None if _is_special(unit, i, k) else k
+    return None if k == 0 and s < 0 else k
 
 
 def coverage_k(unit: QuadraticUnit, table: GFib, i: int, n: int) -> int:

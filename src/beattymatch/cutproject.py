@@ -2,9 +2,9 @@
 
 A lattice point (a, b) is selected when a + b*beta falls inside a
 half-open window; its pattern-space shadow is a + b*conjugate.  Points
-are enumerated by the coordinate b, which makes the link between
-window [0, beta**i) and the exceptional positions of the shift
-analysis a literal list comparison.
+are enumerated by the coordinate b, which makes the link between the
+level-i window [lo, lo + beta**i), lo = 0 or 1 - beta**i, and the
+exceptional positions of the shift analysis a literal list comparison.
 """
 
 from __future__ import annotations

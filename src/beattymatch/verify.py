@@ -12,7 +12,7 @@ perturbation hook shows that the checks can actually fail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import beatty, cutproject
 from .gfib import MAX_TABLE_BITS, GFib
@@ -94,14 +94,23 @@ def _suite_criterion_equivalence(
     return SuiteResult("criterion-equivalence", checked, failures)
 
 
+def _tally(got: list, want: list, j: Callable = lambda x: x) -> tuple[int, int]:
+    """(checked, failures) of one level's position lists: the union of their
+    positions j plus one, and one failure per position in just one of them
+    plus one for the level when they differ."""
+    if got == want:
+        return len(want) + 1, 0
+    a, b = {j(x) for x in got}, {j(x) for x in want}
+    return len(a | b) + 1, len(a ^ b) + 1
+
+
 def _suite_set_equivalence(units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int) -> SuiteResult:
     checked = failures = 0
     for u, t, i, _, disc in _level_windows(units, tables, i_max, window):
         scanned = [(j, e) for j, e in enumerate(disc, -window) if e]
         predicted = [(r.j, r.epsilon) for r in beatty.mismatches_between(u, t, i, -window, window)]
-        checked += len(scanned) + 1
-        if predicted != scanned:
-            failures += 1
+        c, f = _tally(predicted, scanned, lambda x: x[0])
+        checked, failures = checked + c, failures + f
     return SuiteResult("set-equivalence", checked, failures)
 
 
@@ -198,23 +207,19 @@ def _suite_sigma_identities(units: Sequence[QuadraticUnit], tables: dict, b_span
 
 
 def _suite_level_bridge(units: Sequence[QuadraticUnit], tables: dict, i_max: int, b_span: int) -> SuiteResult:
-    """The window [0, t) (eps_i = -1) or [t, 1) (eps_i = +1), for the
-    level's mismatch threshold t, selects exactly the b that are level-i
-    mismatch positions."""
+    """The window [lo, lo + beta**i), with lo = 0 (eps_i = -1) or
+    lo = 1 - beta**i (eps_i = +1), selects exactly the b that are
+    level-i mismatch positions."""
     checked = failures = 0
     for u in units:
         tab = tables[u]
         for i in range(1, i_max + 1):
-            t = beatty.mismatch_threshold(u, tab, i)
-            if beatty.mismatch_epsilon(u, i) < 0:
-                w = cutproject.Window(u.element(0, 0), t)
-            else:
-                w = cutproject.Window(t, u.element(1, 0))
-            got = [q.b for q in cutproject.cut_points(u, w, -b_span, b_span)]
+            p = beta_pow(u, tab, i)
+            lo = 1 - p if beatty.mismatch_epsilon(u, i) > 0 else u.element(0, 0)
+            got = [q.b for q in cutproject.cut_points(u, cutproject.Window(lo, lo + p), -b_span, b_span)]
             want = [r.j for r in beatty.mismatches_between(u, tab, i, -b_span, b_span)]
-            checked += len(want) + 1
-            if got != want:
-                failures += 1
+            c, f = _tally(got, want)
+            checked, failures = checked + c, failures + f
     return SuiteResult("level-bridge", checked, failures)
 
 

@@ -439,6 +439,25 @@ def test_mismatch_set_at_convergent_denominators(monkeypatch):
         assert costs == {3}, (u, costs)
 
 
+def test_recover_k_and_windows_at_convergent_denominators():
+    # at j = +-G_n, far past 64 bits for n up to 200, frac(j*beta) is closest
+    # to 0 or 1, the ends of every level's window; levels 1 and 5 of family a
+    # read floor(s*k*beta) with s = -1, levels 2 and 6 and family b with s = +1
+    for u in UNITS:
+        t = DEEP_TABLES[u]
+        for i in (1, 2, 5, 6):
+            for j0 in [s * t[n] - 2 for n in range(1, 201) for s in (1, -1)]:
+                records = mismatches_between(u, t, i, j0, j0 + 4)
+                assert [(r.j, r.epsilon) for r in records] == brute_force_mismatches(u, t, i, j0, j0 + 4), (u, i, j0)
+                ks = {r.j: r.k for r in records}
+                for j in range(j0, j0 + 5):
+                    if is_mismatch(u, t, i, j):
+                        assert recover_k(u, t, i, j) == ks[j], (u, i, j)
+                    else:
+                        with pytest.raises(NotAMismatch):
+                            recover_k(u, t, i, j)
+
+
 @settings(max_examples=80, deadline=None)
 @given(unit_st, level_st, st.integers(-2**450, 2**450), st.integers(0, 64))
 def test_window_kernel_at_random_anchors(u, i, j0, count):

@@ -741,10 +741,10 @@ def test_streaming_keeps_memory_bounded(tmp_path, argv):
 
 
 def test_closed_pipe_exits_three_quietly():
-    proc = subprocess.Popen([sys.executable, "-m", "beattymatch", "seq", "--to", str(10**7)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"j,floor\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 3
+    with subprocess.Popen([sys.executable, "-m", "beattymatch", "seq", "--to", str(10**7)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"j,floor\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 3
     assert err == b""

@@ -11,9 +11,9 @@ from beattymatch import (
     Window,
     ZBeta,
     beta_pow,
-    coverage_k,
     cut_points,
-    mismatch_set,
+    mismatch_epsilon,
+    mismatches_between,
     scale_by_conjugate,
     translate,
     unit_interval_points,
@@ -237,14 +237,14 @@ def test_scaling_identity_two_sided(u, data):
 
 
 def test_even_level_window_reproduces_mismatch_positions(units):
+    # the level-i window [lo, lo + beta**i), lo = 0 (eps_i = -1) or
+    # 1 - beta**i (eps_i = +1), selects exactly the level-i mismatch positions
+    span = 200
     for u in units:
-        if u.family is not Family.PLUS:
-            continue
         t = TABLES[u]
-        for i in (2, 4):
-            span = 200
-            w = Window(u.element(0, 0), beta_pow(u, t, i))
-            got = [p.b for p in cut_points(u, w, -span, span)]
-            cap = coverage_k(u, t, i, span)
-            want = [r.j for r in mismatch_set(u, t, i, -cap, cap) if -span <= r.j <= span]
-            assert got == want
+        for i in range(1, 7):
+            p = beta_pow(u, t, i)
+            lo = u.element(0, 0) if mismatch_epsilon(u, i) < 0 else 1 - p
+            got = [q.b for q in cut_points(u, Window(lo, lo + p), -span, span)]
+            want = [r.j for r in mismatches_between(u, t, i, -span, span)]
+            assert got == want, (u, i)

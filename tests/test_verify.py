@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from beattymatch import Family, GFib
+from beattymatch import Family, GFib, beatty
 from beattymatch.gfib import MAX_TABLE_BITS
 from beattymatch.verify import SUITES, default_units, render_report, run_suites
 
@@ -97,6 +97,27 @@ def test_fault_injection_breaks_equivalence_only():
     assert by_name["set-equivalence"].passed
     assert not by_name["criterion-equivalence"].passed
     assert by_name["criterion-equivalence"].failures > 0
+
+
+def test_position_suites_count_one_failure_per_missing_position(monkeypatch):
+    # dropping two positions at every level costs each list-comparing suite
+    # two failures for the positions plus one for the level, and leaves
+    # checked as in the clean run, whose union is the same set
+    names, sizes = ["set-equivalence", "level-bridge"], dict(i_max=3, window=1000, b_span=1000)
+    clean = run_suites(names=names, **sizes)
+    plain = beatty.mismatches_between
+
+    def drop_two(unit, table, i, j_lo, j_hi):
+        records = plain(unit, table, i, j_lo, j_hi)
+        assert len(records) > 2, (unit, i)
+        return records[2:]
+
+    monkeypatch.setattr(beatty, "mismatches_between", drop_two)
+    faulted = run_suites(names=names, **sizes)
+    for c, f in zip(clean, faulted):
+        assert c.passed
+        assert f.failures == 3 * 3 * len(default_units()), f
+        assert f.checked == c.checked, (c, f)
 
 
 def test_report_shape():
