@@ -185,7 +185,7 @@ def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[
     window [lo, lo + beta**i), lo = 0 or 1 - beta**i (see
     :func:`mismatch_threshold`).  x |-> lo + beta**i*x maps the points of
     [0, 1) one-to-one onto those of the window, so each mismatch is j(k) for
-    exactly one k, k = 0 included; j(k) increases with k (see :func:`_last_index`).
+    exactly one k, k = 0 included; j(k) increases with k (see :func:`_bracket`).
     G_{i+1} comes from the recurrence, so the table need only reach G_i.
     """
     prev, cur = table[i - 1], table[i]
@@ -195,27 +195,26 @@ def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[
     return -unit.sign * eps, lambda k, f: k * succ - f * step + lo_b
 
 
-def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
-    """The largest k with j(k) <= x, from a constant number of floors.
+def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int]:
+    """c = ceil(beta**i * x) and j(c): every k < c has j(k) < x and every
+    k > c has j(k) > x, so j(c) alone settles where x falls in the enumeration.
 
-    With r = frac(s*k*beta), beta**-i = G_{i+1} + sigma*G_i*beta and
+    Proof.  With r = frac(s*k*beta), beta**-i = G_{i+1} + sigma*G_i*beta and
     eps_i*s = -sigma, beta**i * j(k) = k + beta**i*(eps_i*G_i*r + lo.b) lies
     in [k - beta**i*G_i, k] for either sign of eps_i, and beta**i*G_i =
-    (1 - (beta/beta')**i)/sqrt(D) < 1.  So j(k) is strictly increasing and the
-    answer is floor(beta**i * x) or one above it: starting there, a single
-    correcting step is the most ever taken.
+    (1 - (beta/beta')**i)/sqrt(D) < 1.  So k - 1 < beta**i * j(k) <= k: for
+    k < c, beta**i * j(k) <= k < beta**i * x, and for k > c, beta**i * j(k)
+    > k - 1 >= beta**i * x.
     """
     s, pos = _position(unit, table, i)
-    fm = unit.floor_mul
-    k = (beta_pow(unit, table, i) * x).floor()
-    for _ in range(3):
-        if pos(k, fm(s * k)) > x:
-            k -= 1
-        elif pos(k + 1, fm(s * (k + 1))) <= x:
-            k += 1
-        else:
-            return k
-    raise InvariantError(f"{unit} i={i}: index bracket for j <= {x} moved more than two steps, to k={k}")
+    c = (beta_pow(unit, table, i) * x).ceil()
+    return c, pos(c, unit.floor_mul(s * c))
+
+
+def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
+    """The largest k with j(k) <= x: c of :func:`_bracket` if j(c) <= x, else c - 1."""
+    c, j = _bracket(unit, table, i, x)
+    return c if j <= x else c - 1
 
 
 def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:
@@ -254,21 +253,17 @@ def mismatches_between(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi
 
 
 def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]:
-    """Invert the enumeration: the index k whose closed-form position is j.
+    """Invert the enumeration: the index k whose closed-form position is j,
+    which is c of :func:`_bracket` exactly when j(c) = j.
 
     Returns ``None`` for the extra element -G_i (family a, odd i) and
     raises :class:`NotAMismatch` when j is not exceptional at level i.
     """
     _require(table, unit, i)
-    if not is_mismatch(unit, table, i, j):
-        raise NotAMismatch(f"position {j} matches at level {i}")
-    # beta**i * j(k) lies in (k - 1, k], see _last_index
-    k = (beta_pow(unit, table, i) * j).ceil()
-    s, pos = _position(unit, table, i)
-    got = pos(k, unit.floor_mul(s * k))
+    k, got = _bracket(unit, table, i, j)
     if got != j:
-        raise InvariantError(f"{unit} i={i}: exceptional position j={j} but the closed form gives j({k})={got}")
-    return None if k == 0 and s < 0 else k
+        raise NotAMismatch(f"position {j} matches at level {i}")
+    return None if k == 0 and _position(unit, table, i)[0] < 0 else k
 
 
 def coverage_k(unit: QuadraticUnit, table: GFib, i: int, n: int) -> int:

@@ -84,7 +84,7 @@ def _suite_criterion_equivalence(
 ) -> SuiteResult:
     checked = failures = 0
     for u, t, i, base, disc in _level_windows(units, tables, i_max, window):
-        if fault_j is not None and -window <= fault_j <= window:
+        if fault_j is not None:
             # perturbation hook: corrupt the discrepancy at one position so
             # this suite has something to catch
             disc[fault_j + window] += 1
@@ -234,8 +234,8 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the named suites (all of them by default) over the unit grid.
 
-    ``fault_j`` adds 1 to the discrepancy at that position inside the
-    criterion-equivalence suite only, as a negative control.
+    ``fault_j``, in [-window, window], adds 1 to the discrepancy at that position
+    inside the criterion-equivalence suite, which must be chosen, as a negative control.
     """
     chosen = list(names) if names is not None else list(SUITES)
     for name in chosen:
@@ -249,6 +249,8 @@ def run_suites(
         raise ValueError(f"frequency radius n must be >= 0, got {freq_n}")
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
+    if fault_j is not None and not (-window <= fault_j <= window and "criterion-equivalence" in chosen):
+        raise ValueError(f"fault position {fault_j} injects nothing unless criterion-equivalence runs over [-{window}, {window}]")
     grid = list(units) if units is not None else default_units()
     if sum(GFib.size_bound(u, i_max) for u in grid) > MAX_TABLE_BITS:
         raise ValueError(f"the tables of {len(grid)} units up to level {i_max} exceed the cap of {MAX_TABLE_BITS} bits")

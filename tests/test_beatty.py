@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -439,6 +440,34 @@ def test_mismatch_set_at_convergent_denominators(monkeypatch):
         assert costs == {3}, (u, costs)
 
 
+def test_inverse_lookups_cost_two_floors_per_end(monkeypatch):
+    # one ceil of beta**i*x and one j(c) settle each end of a window, at
+    # random x and at x = +-G_n + delta (delta = -1, 0, 1 in turn), where
+    # x*beta is closest to an integer
+    calls = _counting_floor_mul(monkeypatch)
+    rng = random.Random(17)
+    xs = [rng.randrange(-10**30, 10**30) for _ in range(40)]
+    for u in UNITS:
+        t = DEEP_TABLES[u]
+        points = xs + [s * t[n] + n % 3 - 1 for n in range(1, 201) for s in (1, -1)]
+        costs = set()
+        for i in range(1, 13):
+            for x in points:
+                del calls[:]
+                _last_index(u, t, i, x)
+                costs.add(("last", len(calls)))
+                del calls[:]
+                try:
+                    recover_k(u, t, i, x)
+                except NotAMismatch:
+                    pass
+                costs.add(("recover", len(calls)))
+                del calls[:]
+                frequency_scan(u, t, i, abs(x))
+                costs.add(("scan", len(calls)))
+        assert costs == {("last", 2), ("recover", 2), ("scan", 4)}, (u, costs)
+
+
 def test_recover_k_and_windows_at_convergent_denominators():
     # at j = +-G_n, far past 64 bits for n up to 200, frac(j*beta) is closest
     # to 0 or 1, the ends of every level's window; levels 1 and 5 of family a
@@ -467,3 +496,22 @@ def test_window_kernel_at_random_anchors(u, i, j0, count):
     js = range(j0, j0 + count)
     assert discrepancy_window(u, t, i, base) == [discrepancy(u, t, i, j) for j in js]
     assert mismatch_window(u, t, i, base) == [is_mismatch(u, t, i, j) for j in js]
+
+
+@settings(max_examples=80, deadline=None)
+@given(unit_st, level_st, st.integers(-2**450, 2**450))
+def test_recover_k_equals_threshold_criterion_at_random_j(u, i, j):
+    # recover_k decides on the closed form alone, so the threshold test of
+    # is_mismatch is an independent route to the same answer; the position
+    # of index j is a mismatch, so both answers are checked at every level
+    t = TABLES[u]
+    placed = mismatch_set(u, t, i, j, j)[0].j
+    assert is_mismatch(u, t, i, placed)
+    for x in (j, placed):
+        if not is_mismatch(u, t, i, x):
+            with pytest.raises(NotAMismatch):
+                recover_k(u, t, i, x)
+            continue
+        k = recover_k(u, t, i, x)
+        index = 0 if k is None else k
+        assert mismatch_set(u, t, i, index, index)[0] == (x, k, mismatch_epsilon(u, i))

@@ -383,6 +383,15 @@ def test_verify_fault_injection_fails_suite_two(capsys):
     assert "FAIL" in out
 
 
+def test_verify_refuses_a_fault_that_injects_nothing(capsys):
+    # out of the window, or with no criterion-equivalence to carry it
+    for argv in (("--suite", "criterion-equivalence", "--i-max", "2", "--window", "100", "--inject-fault", "20000"),
+                 ("--suite", "range-law", "--inject-fault", "0")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (1, ""), argv
+        assert "fault position" in err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "seq", "--family", "c")[0] == 1
     assert run_cli(capsys, "verify", "--suite", "bogus")[0] == 1

@@ -99,6 +99,22 @@ def test_fault_injection_breaks_equivalence_only():
     assert by_name["criterion-equivalence"].failures > 0
 
 
+def test_fault_outside_the_window_refused(monkeypatch):
+    # a fault that lands on no position would leave the negative control passing
+    monkeypatch.setattr(GFib, "build", classmethod(lambda cls, unit, n: pytest.fail("table built")))
+    for fault_j in (101, -101, 20_000):
+        with pytest.raises(ValueError, match="injects nothing"):
+            run_suites(names=["criterion-equivalence"], i_max=2, window=100, fault_j=fault_j)
+
+
+def test_fault_without_criterion_equivalence_refused(monkeypatch):
+    # only criterion-equivalence injects the fault; without it the run would pass
+    monkeypatch.setattr(GFib, "build", classmethod(lambda cls, unit, n: pytest.fail("table built")))
+    for names in (["range-law"], ["set-equivalence", "frequency"], []):
+        with pytest.raises(ValueError, match="injects nothing"):
+            run_suites(names=names, fault_j=0)
+
+
 def test_position_suites_count_one_failure_per_missing_position(monkeypatch):
     # dropping two positions at every level costs each list-comparing suite
     # two failures for the positions plus one for the level, and leaves
