@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 from .gfib import GFib
-from .units import InvariantError, QuadraticUnit, UnitMismatch, ZBeta, beta_pow, mismatch_epsilon
+from .units import InvariantError, QuadraticUnit, ZBeta, beta_pow, mismatch_epsilon
 
 
 class NotAMismatch(ValueError):
@@ -53,15 +53,6 @@ class ScanSummary:
             raise ValueError(f"frequency {self.frequency} outside [0, 1]")
 
 
-def _require(table: GFib, unit: QuadraticUnit, i: int) -> None:
-    if table.unit != unit:
-        raise UnitMismatch("table belongs to a different unit")
-    if i < 1:
-        raise ValueError(f"shift index must be >= 1, got {i}")
-    if i >= len(table):
-        raise IndexError(f"table of length {len(table)} has no entry {i}")
-
-
 def mismatch_threshold(unit: QuadraticUnit, table: GFib, i: int) -> ZBeta:
     """The threshold t of level i: j is a mismatch iff frac(j*beta) < t
     when eps_i = -1, and iff frac(j*beta) >= t when eps_i = +1 (see
@@ -78,15 +69,14 @@ def discrepancy(unit: QuadraticUnit, table: GFib, i: int, j: int) -> int:
     Zero exactly at the self-matching positions; otherwise equal to
     ``mismatch_epsilon(unit, i)``.
     """
-    _require(table, unit, i)
-    return unit.floor_mul(j + table[i]) - unit.floor_mul(j) - table[i - 1]
+    drop, shift = table.level(unit, i)
+    return unit.floor_mul(j + shift) - unit.floor_mul(j) - drop
 
 
 def is_mismatch(unit: QuadraticUnit, table: GFib, i: int, j: int) -> bool:
     """Exact membership test, decided on the fractional part of j*beta
     against :func:`mismatch_threshold` without evaluating the discrepancy.
     """
-    _require(table, unit, i)
     t = mismatch_threshold(unit, table, i)
     # frac(j*beta) < t iff j*beta - floor(j*beta) - t < 0
     below = unit.pair_sign(-unit.floor_mul(j) - t.a, j - t.b) < 0
@@ -147,9 +137,8 @@ def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
 def discrepancy_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
     """:func:`discrepancy` at every j of ``base``: the floors of the window
     shifted by G_i minus those of ``base``, minus G_{i-1}."""
-    _require(table, unit, i)
-    shifted = floor_window(unit, base.j0 + table[i], len(base.floors)).floors
-    drop = table[i - 1]
+    drop, shift = table.level(unit, i)
+    shifted = floor_window(unit, base.j0 + shift, len(base.floors)).floors
     return [s - b - drop for s, b in zip(shifted, base.floors)]
 
 
@@ -163,7 +152,6 @@ def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow)
     bracket that straddles the threshold goes to :func:`is_mismatch`; at
     j = -G_i frac(j*beta) equals it exactly.
     """
-    _require(table, unit, i)
     q = (mismatch_threshold(unit, table, i) * (1 << base.bits)).floor()
     j0 = base.j0
     below = mismatch_epsilon(unit, i) < 0
@@ -188,16 +176,17 @@ def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[
     exactly one k, k = 0 included; j(k) increases with k (see :func:`_bracket`).
     G_{i+1} comes from the recurrence, so the table need only reach G_i.
     """
-    prev, cur = table[i - 1], table[i]
+    prev, cur = table.level(unit, i)
     succ = unit.m * cur + unit.sign * prev
     eps = mismatch_epsilon(unit, i)
     step, lo_b = eps * cur, -cur if eps > 0 else 0
     return -unit.sign * eps, lambda k, f: k * succ - f * step + lo_b
 
 
-def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int]:
-    """c = ceil(beta**i * x) and j(c): every k < c has j(k) < x and every
-    k > c has j(k) > x, so j(c) alone settles where x falls in the enumeration.
+def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int, int]:
+    """The sign s of :func:`_position`, c = ceil(beta**i * x) and j(c): every
+    k < c has j(k) < x and every k > c has j(k) > x, so j(c) alone settles
+    where x falls in the enumeration.
 
     Proof.  With r = frac(s*k*beta), beta**-i = G_{i+1} + sigma*G_i*beta and
     eps_i*s = -sigma, beta**i * j(k) = k + beta**i*(eps_i*G_i*r + lo.b) lies
@@ -208,12 +197,12 @@ def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int
     """
     s, pos = _position(unit, table, i)
     c = (beta_pow(unit, table, i) * x).ceil()
-    return c, pos(c, unit.floor_mul(s * c))
+    return s, c, pos(c, unit.floor_mul(s * c))
 
 
 def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
     """The largest k with j(k) <= x: c of :func:`_bracket` if j(c) <= x, else c - 1."""
-    c, j = _bracket(unit, table, i, x)
+    _, c, j = _bracket(unit, table, i, x)
     return c if j <= x else c - 1
 
 
@@ -223,11 +212,10 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
     -k_hi and read backwards when s = -1.  The k = 0 record of family a at
     odd i (s = -1), the extra element -G_i, carries k = None.
     """
-    _require(table, unit, i)
+    s, pos = _position(unit, table, i)
     if k_lo > k_hi:
         raise ValueError(f"index range {k_lo}..{k_hi} is empty")
     eps = mismatch_epsilon(unit, i)
-    s, pos = _position(unit, table, i)
     ks = range(k_lo, k_hi + 1)
     floors = floor_window(unit, k_lo if s > 0 else -k_hi, len(ks)).floors
     if s < 0:
@@ -241,7 +229,6 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
 def index_range(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> range:
     """The indices k whose closed-form positions lie in [j_lo, j_hi];
     empty when the window holds none (or j_lo > j_hi)."""
-    _require(table, unit, i)
     return range(_last_index(unit, table, i, j_lo - 1) + 1, _last_index(unit, table, i, j_hi) + 1)
 
 
@@ -259,27 +246,24 @@ def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]
     Returns ``None`` for the extra element -G_i (family a, odd i) and
     raises :class:`NotAMismatch` when j is not exceptional at level i.
     """
-    _require(table, unit, i)
-    k, got = _bracket(unit, table, i, j)
+    s, k, got = _bracket(unit, table, i, j)
     if got != j:
         raise NotAMismatch(f"position {j} matches at level {i}")
-    return None if k == 0 and _position(unit, table, i)[0] < 0 else k
+    return None if k == 0 and s < 0 else k
 
 
 def coverage_k(unit: QuadraticUnit, table: GFib, i: int, n: int) -> int:
     """Index bound K: every exceptional position in [-n, n] is produced
     by some |k| <= K.  The +2 margin absorbs the bounded fractional
     corrections of the enumeration."""
-    _require(table, unit, i)
-    return (beta_pow(unit, table, i) * (n + table[i])).ceil() + 2
+    return (beta_pow(unit, table, i) * (n + table.level(unit, i)[1])).ceil() + 2
 
 
 def brute_force_mismatches(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> list[tuple[int, int]]:
     """Oracle scan: (j, discrepancy) for every exceptional j in
     [j_lo, j_hi], computed purely from floors with no closed forms."""
-    _require(table, unit, i)
+    drop, shift = table.level(unit, i)
     out = []
-    shift, drop = table[i], table[i - 1]
     fm = unit.floor_mul
     for j in range(j_lo, j_hi + 1):
         e = fm(j + shift) - fm(j) - drop
@@ -293,7 +277,6 @@ def frequency_scan(unit: QuadraticUnit, table: GFib, i: int, n: int) -> ScanSumm
     on the enumeration index with O(1) floor evaluations for any n."""
     if n < 0:
         raise ValueError(f"window radius must be >= 0, got {n}")
-    _require(table, unit, i)
     count = _last_index(unit, table, i, n) - _last_index(unit, table, i, -n - 1)
     total = 2 * n + 1
     return ScanSummary(

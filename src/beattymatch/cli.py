@@ -30,7 +30,7 @@ from . import verify
 from .beatty import floor_window, frequency_scan, index_range, mismatch_set
 from .cutproject import Window, cut_points
 from .gfib import MAX_TABLE_BITS, GFib
-from .units import DomainError, QuadraticUnit, UnitMismatch, ZBeta, make_unit
+from .units import QuadraticUnit, ZBeta, make_unit
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -96,15 +96,16 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
 
 
 def _write_file(chunks: Iterable[str], out: str) -> None:
-    """Write the chunks to a temporary file beside ``out``, then rename it
-    into place: a failure partway leaves ``out`` as it was and no
-    temporary file behind.  A path that exists but is not a regular file
-    (a device, a pipe) is written in place."""
+    """Write the chunks to a temporary file beside the real path of ``out``,
+    then rename it into place: a failure partway leaves ``out`` as it was and
+    no temporary file behind, and a symbolic link keeps its target.  A path
+    that exists but is not a regular file (a device, a pipe) is written in place."""
+    out = os.path.realpath(out)
     if os.path.exists(out) and not os.path.isfile(out):
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
-    head, name = os.path.split(os.path.abspath(out))
+    head, name = os.path.split(out)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     # O_EXCL never reuses a file; mode 0o666 lets the umask decide, as open() does
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -289,7 +290,7 @@ def _value_range(main: Sequence[int], overlay: Sequence[int]) -> tuple[int, int]
     return min(main[0], overlay[0]), max(main[-1], overlay[-1])
 
 
-def render_svg(j_lo: int, j_hi: int, main: Sequence[int], overlay: Sequence[int],
+def render_svg(j_lo: int, main: Sequence[int], overlay: Sequence[int],
                marks: Sequence[int], label: str) -> Iterator[str]:
     count = len(main)
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}" '
@@ -362,7 +363,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     table = _table_for(unit, args.i)
     j_lo, j_hi = args.j_lo, args.j_hi
     count = max(0, j_hi - j_lo + 1)
-    shift, drop = table[args.i], table[args.i - 1]
+    drop, shift = table.level(unit, args.i)
     if args.format == "svg" and count > PLOT_MAX_POINTS:
         raise UsageError(f"an svg plot of {count} points exceeds the cap of {PLOT_MAX_POINTS}")
     if args.format == "ascii" and count:
@@ -379,7 +380,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         doc = render_ascii(j_lo, main, overlay, marks)
     else:
         label = f"floor(j*beta) family={args.family} m={args.m} i={args.i} j={j_lo}..{j_hi}"
-        doc = render_svg(j_lo, j_hi, main, overlay, marks, label)
+        doc = render_svg(j_lo, main, overlay, marks, label)
     return _emit(doc, args.out)
 
 
@@ -500,7 +501,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (UsageError, DomainError, UnitMismatch, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .units import QuadraticUnit
+from .units import QuadraticUnit, UnitMismatch
 
 DEFAULT_LENGTH = 64
 # for_level refuses a table whose entries could together exceed this many bits
@@ -64,6 +64,18 @@ class GFib:
         n**2 * bit_length(m) / 2 bits."""
         n = max(DEFAULT_LENGTH, i)
         return n * n * unit.m.bit_length() // 2
+
+    def level(self, unit: QuadraticUnit, i: int) -> tuple[int, int]:
+        """(G_{i-1}, G_i), the drop and the shift of level i, after the one check
+        of a (unit, table, i) argument: UnitMismatch for another unit's table,
+        ValueError for i < 1, IndexError past the end of the table."""
+        if unit != self.unit:
+            raise UnitMismatch("table belongs to a different unit")
+        if i < 1:
+            raise ValueError(f"shift index must be >= 1, got {i}")
+        if i >= len(self.values):
+            raise IndexError(f"table of length {len(self.values)} has no entry {i}")
+        return self.values[i - 1], self.values[i]
 
     def __getitem__(self, i: int) -> int:
         return self.values[i]

@@ -14,7 +14,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import total_ordering
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from .gfib import GFib
 
 
 class Family(enum.Enum):
@@ -201,16 +204,10 @@ def mismatch_epsilon(unit: QuadraticUnit, i: int) -> int:
     return 1 if i % 2 else -unit.sign
 
 
-def beta_pow(unit: QuadraticUnit, table: Sequence[int], i: int) -> ZBeta:
-    """Exact coordinates of beta**i read off a recurrence table:
+def beta_pow(unit: QuadraticUnit, table: GFib, i: int) -> ZBeta:
+    """Exact coordinates of beta**i read off the unit's recurrence table:
     beta**i = eps_i*(G_i*beta - G_{i-1}), see :func:`mismatch_epsilon`.
     """
-    if i < 1:
-        raise ValueError(f"power index must be >= 1, got {i}")
-    if i >= len(table):
-        raise IndexError(f"table of length {len(table)} has no entry {i}")
-    owner = getattr(table, "unit", None)
-    if owner is not None and owner != unit:
-        raise UnitMismatch("table belongs to a different unit")
+    prev, cur = table.level(unit, i)
     eps = mismatch_epsilon(unit, i)
-    return ZBeta(-eps * table[i - 1], eps * table[i], unit)
+    return ZBeta(-eps * prev, eps * cur, unit)

@@ -36,6 +36,8 @@ DEFAULT_B_SPAN = 200
 # the window suites hold 2*window + 1 floors per unit, the cut suites 2*b_span + 1 points per window
 MAX_WINDOW = 1 << 17
 MAX_B_SPAN = 1 << 14
+# power-identities checks beta**i for i = 1..POWER_I_MAX; every table run_suites builds reaches it
+POWER_I_MAX = 60
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,15 @@ def _suite_frequency(units: Sequence[QuadraticUnit], tables: dict, i_max: int, n
     return SuiteResult("frequency", checked, failures, note=f"max-remainder={worst // 1000}.{worst % 1000:03d}")
 
 
-def _suite_power_identities(units: Sequence[QuadraticUnit], tables: dict, i_cap: int = 60) -> SuiteResult:
+def _suite_power_identities(units: Sequence[QuadraticUnit], tables: dict) -> SuiteResult:
     """beta**i read off the table equals the i-fold product of beta and
-    the square-and-multiply power, for every i <= i_cap."""
+    the square-and-multiply power, for every i <= POWER_I_MAX."""
     checked = failures = 0
     for u in units:
         t = tables[u]
         beta = ZBeta(0, 1, u)
         folded = beta
-        for i in range(1, min(i_cap, len(t) - 1) + 1):
+        for i in range(1, POWER_I_MAX + 1):
             closed = beta_pow(u, t, i)
             checked += 1
             if not (closed == folded and closed == beta**i):

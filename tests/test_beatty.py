@@ -349,6 +349,44 @@ def _counting_floor_mul(monkeypatch):
     return calls
 
 
+# each routine that takes (unit, table, i), with its remaining arguments for the golden unit
+GOLDEN_WINDOW = floor_window(UNITS[0], -3, 7)
+LEVEL_ROUTINES = [
+    (discrepancy, (0,)),
+    (is_mismatch, (0,)),
+    (beatty.mismatch_threshold, ()),
+    (discrepancy_window, (GOLDEN_WINDOW,)),
+    (mismatch_window, (GOLDEN_WINDOW,)),
+    (mismatch_set, (0, 2)),
+    (beatty.index_range, (-5, 5)),
+    (mismatches_between, (-5, 5)),
+    (recover_k, (-5,)),
+    (coverage_k, (10,)),
+    (brute_force_mismatches, (-5, 5)),
+    (frequency_scan, (10,)),
+    (beta_pow, ()),
+]
+
+
+@pytest.mark.parametrize("routine, args", LEVEL_ROUTINES, ids=[r.__name__ for r, _ in LEVEL_ROUTINES])
+def test_level_contract(monkeypatch, golden, minus3, routine, args):
+    # GFib.level refuses a foreign table, i < 1 and i past the table before any floor is taken
+    t = GFib.build(golden, 5)
+    calls = _counting_floor_mul(monkeypatch)
+    refusals = [
+        (UnitMismatch, GFib.build(minus3, 5), 1),
+        (ValueError, t, 0),
+        (ValueError, t, -1),
+        (IndexError, t, len(t)),
+    ]
+    for exc, table, i in refusals:
+        with pytest.raises(exc):
+            routine(golden, table, i, *args)
+        assert calls == [], (exc, i)
+    # the last level of the table is accepted (recover_k: -G_5 is the extra element)
+    routine(golden, t, len(t) - 1, *args)
+
+
 def test_floor_window_at_convergent_denominators(monkeypatch):
     # j*beta is closest to an integer at j = +-G_n, and is one at j = 0
     # reached from the anchor -1: there too every bracket must stay off the

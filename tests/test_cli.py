@@ -705,6 +705,24 @@ def test_out_replaces_target_and_keeps_its_mode(capsys, tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "reference", "rows.csv"]
 
 
+def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    target, link = tmp_path / "v1.csv", tmp_path / "latest.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    link.symlink_to("v1.csv")
+    assert run_cli(capsys, "seq", "--to", "2", "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == "v1.csv"
+    assert target.read_text() == "j,floor\n0,0\n1,0\n2,1\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    # a dangling link creates its target
+    dangling = tmp_path / "next.csv"
+    dangling.symlink_to("v2.csv")
+    assert run_cli(capsys, "seq", "--to", "1", "--out", str(dangling))[0] == 0
+    assert dangling.is_symlink()
+    assert (tmp_path / "v2.csv").read_text() == "j,floor\n0,0\n1,0\n"
+    assert sorted(os.listdir(tmp_path)) == ["latest.csv", "next.csv", "v1.csv", "v2.csv"]
+
+
 def test_out_to_a_pipe_writes_in_place(capsys, tmp_path):
     # a path that is not a regular file is opened, never replaced
     fifo = tmp_path / "pipe"
