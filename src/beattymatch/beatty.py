@@ -49,7 +49,7 @@ class ScanSummary:
     target: float  # beta**i, display approximation only
 
     def __post_init__(self) -> None:
-        if not 0 <= self.frequency <= 1:
+        if not 0 <= self.frequency.numerator <= self.frequency.denominator:
             raise ValueError(f"frequency {self.frequency} outside [0, 1]")
 
 
@@ -163,11 +163,11 @@ def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow)
     return [below if low + t < q else above if low > q else exact(t) for t, low in enumerate(base.lows)]
 
 
-def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[int, int], int]]:
-    """The sign s = (-sigma)**i and the closed form (k, floor(s*k*beta)) |->
-    j(k) = k*G_{i+1} - eps_i*floor(s*k*beta)*G_i + lo.b of the exceptional
-    positions at level i, with lo.b = -G_i when eps_i = +1 and 0 otherwise;
-    the caller supplies the floor, one by one or from a :func:`floor_window`.
+def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[int, int], int], Callable[[int], int]]:
+    """The sign s = (-sigma)**i, the closed form (k, floor(s*k*beta)) |-> j(k) =
+    k*G_{i+1} - eps_i*floor(s*k*beta)*G_i + lo.b of the exceptional positions
+    at level i, lo.b = -G_i when eps_i = +1 and 0 otherwise (the caller supplies
+    the floor), and x |-> ceil(beta**i * x) of :func:`_bracket`.
 
     j(k) is the b-coordinate of lo + beta**i*frac(s*k*beta) for the level's
     window [lo, lo + beta**i), lo = 0 or 1 - beta**i (see
@@ -179,14 +179,15 @@ def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[
     prev, cur = table.level(unit, i)
     succ = unit.m * cur + unit.sign * prev
     eps = mismatch_epsilon(unit, i)
-    step, lo_b = eps * cur, -cur if eps > 0 else 0
-    return -unit.sign * eps, lambda k, f: k * succ - f * step + lo_b
+    step, lo_b, drop = eps * cur, -cur if eps > 0 else 0, eps * prev
+    return -unit.sign * eps, lambda k, f: k * succ - f * step + lo_b, lambda x: -drop * x - unit.floor_mul(-step * x)
 
 
 def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int, int]:
     """The sign s of :func:`_position`, c = ceil(beta**i * x) and j(c): every
     k < c has j(k) < x and every k > c has j(k) > x, so j(c) alone settles
-    where x falls in the enumeration.
+    where x falls in the enumeration.  As beta**i = eps_i*(G_i*beta - G_{i-1}),
+    c = -eps_i*G_{i-1}*x - floor(-eps_i*G_i*x*beta), from integers alone.
 
     Proof.  With r = frac(s*k*beta), beta**-i = G_{i+1} + sigma*G_i*beta and
     eps_i*s = -sigma, beta**i * j(k) = k + beta**i*(eps_i*G_i*r + lo.b) lies
@@ -195,8 +196,8 @@ def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int
     k < c, beta**i * j(k) <= k < beta**i * x, and for k > c, beta**i * j(k)
     > k - 1 >= beta**i * x.
     """
-    s, pos = _position(unit, table, i)
-    c = (beta_pow(unit, table, i) * x).ceil()
+    s, pos, ceil_scaled = _position(unit, table, i)
+    c = ceil_scaled(x)
     return s, c, pos(c, unit.floor_mul(s * c))
 
 
@@ -212,7 +213,7 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
     -k_hi and read backwards when s = -1.  The k = 0 record of family a at
     odd i (s = -1), the extra element -G_i, carries k = None.
     """
-    s, pos = _position(unit, table, i)
+    s, pos, _ = _position(unit, table, i)
     if k_lo > k_hi:
         raise ValueError(f"index range {k_lo}..{k_hi} is empty")
     eps = mismatch_epsilon(unit, i)
@@ -278,11 +279,10 @@ def frequency_scan(unit: QuadraticUnit, table: GFib, i: int, n: int) -> ScanSumm
     if n < 0:
         raise ValueError(f"window radius must be >= 0, got {n}")
     count = _last_index(unit, table, i, n) - _last_index(unit, table, i, -n - 1)
-    total = 2 * n + 1
     return ScanSummary(
         i=i,
         window=(-n, n),
         mismatch_count=count,
-        frequency=Fraction(count, total),
+        frequency=Fraction(count, 2 * n + 1),
         target=unit.beta_approx() ** i,
     )

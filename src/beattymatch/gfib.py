@@ -69,7 +69,7 @@ class GFib:
         """(G_{i-1}, G_i), the drop and the shift of level i, after the one check
         of a (unit, table, i) argument: UnitMismatch for another unit's table,
         ValueError for i < 1, IndexError past the end of the table."""
-        if unit != self.unit:
+        if unit is not self.unit and unit != self.unit:
             raise UnitMismatch("table belongs to a different unit")
         if i < 1:
             raise ValueError(f"shift index must be >= 1, got {i}")

@@ -12,6 +12,7 @@ from beattymatch import (
     Family,
     GFib,
     NotAMismatch,
+    ScanSummary,
     UnitMismatch,
     ZBeta,
     beta_pow,
@@ -30,7 +31,7 @@ from beattymatch import (
     recover_k,
 )
 from beattymatch import beatty
-from beattymatch.beatty import _last_index
+from beattymatch.beatty import _bracket, _last_index
 from beattymatch.units import QuadraticUnit
 
 from conftest import unit_grid
@@ -247,6 +248,15 @@ def test_frequency_scan_tiny_windows(golden):
         frequency_scan(golden, t, 1, -1)
 
 
+def test_scan_summary_frequency_bounds():
+    # the [0, 1] check runs on the Fraction's integers; its denominator is positive
+    for f in (Fraction(0), Fraction(1)):
+        assert ScanSummary(1, (0, 0), f.numerator, f, 0.5).frequency == f
+    for f in (Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(ValueError):
+            ScanSummary(1, (-1, 1), f.numerator, f, 0.5)
+
+
 def test_frequency_scan_counts_match_membership(units):
     for u in units:
         t = TABLES[u]
@@ -387,6 +397,23 @@ def test_level_contract(monkeypatch, golden, minus3, routine, args):
     routine(golden, t, len(t) - 1, *args)
 
 
+def test_level_accepts_an_equal_unit_and_refuses_another(monkeypatch):
+    # GFib.level passes the table's own unit by identity and an equal one by
+    # equality; another unit's table is still refused before any floor
+    t = GFib.build(make_unit("a", 1), 5)
+    twin = make_unit("a", 1)
+    assert twin is not t.unit
+    calls = _counting_floor_mul(monkeypatch)
+    assert t.level(twin, 3) == (t[2], t[3])
+    assert frequency_scan(twin, t, 3, 10) == frequency_scan(t.unit, t, 3, 10)
+    del calls[:]
+    with pytest.raises(UnitMismatch):
+        t.level(make_unit("a", 2), 3)
+    with pytest.raises(UnitMismatch):
+        frequency_scan(make_unit("a", 2), t, 3, 10)
+    assert calls == []
+
+
 def test_floor_window_at_convergent_denominators(monkeypatch):
     # j*beta is closest to an integer at j = +-G_n, and is one at j = 0
     # reached from the anchor -1: there too every bracket must stay off the
@@ -504,6 +531,24 @@ def test_inverse_lookups_cost_two_floors_per_end(monkeypatch):
                 frequency_scan(u, t, i, abs(x))
                 costs.add(("scan", len(calls)))
         assert costs == {("last", 2), ("recover", 2), ("scan", 4)}, (u, costs)
+
+
+CEIL_UNITS = [make_unit("a", m) for m in (1, 2, 3, 7)] + [make_unit("b", m) for m in (3, 4, 5, 9)]
+
+
+def test_bracket_ceiling_equals_ring_route():
+    # _bracket takes c = ceil(beta**i * x) from integers alone; the ring
+    # element beta**i * x is an independent route to it, checked at random x
+    # and at x = +-G_n + delta, where x*beta is closest to an integer
+    rng = random.Random(19)
+    xs = [rng.randrange(-10**40 + 1, 10**40) for _ in range(40)]
+    for u in CEIL_UNITS:
+        t = GFib.build(u, 200)
+        points = sorted(set(xs + [s * t[n] + d for n in range(201) for s in (1, -1) for d in (-1, 0, 1)]))
+        for i in range(1, 81):
+            p = beta_pow(u, t, i)
+            for x in points:
+                assert _bracket(u, t, i, x)[1] == (p * x).ceil(), (u, i, x)
 
 
 def test_recover_k_and_windows_at_convergent_denominators():
