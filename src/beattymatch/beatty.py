@@ -13,6 +13,7 @@ carried by a scan summary.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -103,6 +104,11 @@ class FloorWindow:
             lows[-self.j0] = 0
         return lows
 
+    @cached_property
+    def order(self) -> list[int]:
+        """The offsets t sorted by lows[t], computed once per window when read."""
+        return sorted(range(len(self.lows)), key=self.lows.__getitem__)
+
 
 def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
     """floor(j*beta) for the count integers j0 <= j < j0 + count, from three
@@ -134,33 +140,48 @@ def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
     return FloorWindow(j0, bits, floors, sums)
 
 
+def shifted_floors(unit: QuadraticUnit, table: GFib, i: int, window: FloorWindow, count: int) -> list[int]:
+    """floor((j + G_i)*beta) for the first ``count`` j of ``window``: a slice of
+    the window where it reaches j + G_i, else a floor window of their own.
+    Only a window built longer than ``count``, as the window suites build
+    theirs, can be sliced."""
+    shift = table.level(unit, i)[1]
+    if shift + count <= len(window.floors):
+        return window.floors[shift : shift + count]
+    return floor_window(unit, window.j0 + shift, count).floors
+
+
 def discrepancy_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
-    """:func:`discrepancy` at every j of ``base``: the floors of the window
-    shifted by G_i minus those of ``base``, minus G_{i-1}."""
-    drop, shift = table.level(unit, i)
-    shifted = floor_window(unit, base.j0 + shift, len(base.floors)).floors
-    return [s - b - drop for s, b in zip(shifted, base.floors)]
+    """:func:`discrepancy` at every j of ``base``: the :func:`shifted_floors`
+    minus those of ``base``, minus G_{i-1}."""
+    drop = table.level(unit, i)[0]
+    return [s - b - drop for s, b in zip(shifted_floors(unit, table, i, base, len(base.floors)), base.floors)]
 
 
-def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[bool]:
-    """:func:`is_mismatch` at every j of ``base``, decided on its certified
-    fractional brackets against q = floor(t * 2**bits) for the level's
-    :func:`mismatch_threshold` t, an exact floor with q < t * 2**bits < q + 1.
+def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
+    """The offsets t, increasing, of the j = base.j0 + t where :func:`is_mismatch`
+    holds, decided on the certified fractional brackets [lows[t], lows[t] + t + 1)
+    against q = floor(h * 2**bits) for the level's :func:`mismatch_threshold` h,
+    an exact floor with q < h * 2**bits < q + 1.
 
-    A bracket wholly below q lies below t, one from q + 1 up lies above
-    it; a mismatch is below t when eps_i = -1 and above it otherwise.  A
-    bracket that straddles the threshold goes to :func:`is_mismatch`; at
-    j = -G_i frac(j*beta) equals it exactly.
+    A bracket wholly below q lies below h, one from q + 1 up lies above
+    it; a mismatch is below h when eps_i = -1 and above it otherwise.  As
+    t < n = len(base.lows), every low below q - n is wholly below q, so only
+    the lows in [q - n, q], found by bisecting ``base.order``, are decided
+    one by one.  A bracket that straddles the threshold goes to
+    :func:`is_mismatch`; at j = -G_i frac(j*beta) equals it exactly.
     """
     q = (mismatch_threshold(unit, table, i) * (1 << base.bits)).floor()
-    j0 = base.j0
+    lows, order = base.lows, base.order
+    first = bisect_left(order, q - len(lows), key=lows.__getitem__)
+    last = bisect_right(order, q, key=lows.__getitem__)
     below = mismatch_epsilon(unit, i) < 0
-    above = not below
-
-    def exact(t: int) -> bool:
-        return is_mismatch(unit, table, i, j0 + t)
-
-    return [below if low + t < q else above if low > q else exact(t) for t, low in enumerate(base.lows)]
+    members = order[:first] if below else order[last:]
+    for t in order[first:last]:
+        if below if lows[t] + t < q else is_mismatch(unit, table, i, base.j0 + t):
+            members.append(t)
+    members.sort()
+    return members
 
 
 def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[int, int], int], Callable[[int], int]]:

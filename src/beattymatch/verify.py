@@ -11,6 +11,7 @@ perturbation hook shows that the checks can actually fail.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -33,7 +34,9 @@ DEFAULT_I_MAX = 12
 DEFAULT_WINDOW = 10_000
 DEFAULT_FREQ_N = 100_000
 DEFAULT_B_SPAN = 200
-# the window suites hold 2*window + 1 floors per unit, the cut suites 2*b_span + 1 points per window
+# the window suites hold one shared window of up to 4*window + 1 floors per unit and, beside it,
+# about six lists of 2*window + 1 (base floors, lows, order, a shifted slice, two levels' differences);
+# the cut suites hold 2*b_span + 1 points per window
 MAX_WINDOW = 1 << 17
 MAX_B_SPAN = 1 << 14
 # power-identities checks beta**i for i = 1..POWER_I_MAX; every table run_suites builds reaches it
@@ -61,23 +64,36 @@ def default_units() -> list[QuadraticUnit]:
 
 def _level_windows(
     units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int
-) -> Iterator[tuple[QuadraticUnit, GFib, int, beatty.FloorWindow, list[int]]]:
-    """(unit, table, i, floor window over [-window, window], discrepancies
-    there) for every unit and level; the floor window is built once per
-    unit and serves all its levels."""
+) -> Iterator[tuple[QuadraticUnit, GFib, int, beatty.FloorWindow, int, list[int]]]:
+    """(unit, table, i, base, G_{i-1}, d) for every unit and level: base is the
+    floor window over [-window, window] and d the differences
+    floor((j + G_i)*beta) - floor(j*beta) there.  Each unit builds one floor
+    window over [-window, window + R], R the largest G_i <= 2*window; base and
+    the shifted floors of every level with G_i <= R are slices of it."""
+    n = 2 * window + 1
     for u in units:
         t = tables[u]
-        base = beatty.floor_window(u, -window, 2 * window + 1)
-        for i in range(1, i_max + 1):
-            yield u, t, i, base, beatty.discrepancy_window(u, t, i, base)
+        levels = [(i, *t.level(u, i)) for i in range(1, i_max + 1)]
+        whole = beatty.floor_window(u, -window, n + max((g for *_, g in levels if g < n), default=0))
+        # the first n points keep their brackets, at the precision of the whole window
+        base = beatty.FloorWindow(whole.j0, whole.bits, whole.floors[:n], whole.sums[:n])
+        for i, drop, _ in levels:
+            yield u, t, i, base, drop, list(map(operator.sub, beatty.shifted_floors(u, t, i, whole, n), whole.floors))
+
+
+def _departures(d: list[int], drop: int, offsets: Iterable[int]) -> tuple[int, int]:
+    """(|N|, |N & offsets|) for N the offsets where d differs from drop; the
+    offsets must be distinct, and those outside d are not in N.  One count
+    of d plus a read of d at each offset."""
+    n = len(d)
+    return n - d.count(drop), sum(1 for o in offsets if 0 <= o < n and d[o] != drop)
 
 
 def _suite_range_law(units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int) -> SuiteResult:
     checked = failures = 0
-    for u, _, i, _, disc in _level_windows(units, tables, i_max, window):
-        allowed = {0, beatty.mismatch_epsilon(u, i)}
-        checked += len(disc)
-        failures += sum(1 for e in disc if e not in allowed)
+    for u, _, i, _, drop, d in _level_windows(units, tables, i_max, window):
+        checked += len(d)
+        failures += len(d) - d.count(drop) - d.count(drop + beatty.mismatch_epsilon(u, i))
     return SuiteResult("range-law", checked, failures)
 
 
@@ -85,14 +101,15 @@ def _suite_criterion_equivalence(
     units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int, fault_j: Optional[int]
 ) -> SuiteResult:
     checked = failures = 0
-    for u, t, i, base, disc in _level_windows(units, tables, i_max, window):
+    for u, t, i, base, drop, d in _level_windows(units, tables, i_max, window):
         if fault_j is not None:
             # perturbation hook: corrupt the discrepancy at one position so
             # this suite has something to catch
-            disc[fault_j + window] += 1
+            d[fault_j + window] += 1
         member = beatty.mismatch_window(u, t, i, base)
-        checked += len(disc)
-        failures += sum(1 for e, hit in zip(disc, member) if (e != 0) != hit)
+        departed, hit = _departures(d, drop, member)
+        # one failure per offset in just one of the two sets
+        checked, failures = checked + len(d), failures + departed + len(member) - 2 * hit
     return SuiteResult("criterion-equivalence", checked, failures)
 
 
@@ -108,11 +125,15 @@ def _tally(got: list, want: list, j: Callable = lambda x: x) -> tuple[int, int]:
 
 def _suite_set_equivalence(units: Sequence[QuadraticUnit], tables: dict, i_max: int, window: int) -> SuiteResult:
     checked = failures = 0
-    for u, t, i, _, disc in _level_windows(units, tables, i_max, window):
-        scanned = [(j, e) for j, e in enumerate(disc, -window) if e]
+    for u, t, i, _, drop, d in _level_windows(units, tables, i_max, window):
         predicted = [(r.j, r.epsilon) for r in beatty.mismatches_between(u, t, i, -window, window)]
-        c, f = _tally(predicted, scanned, lambda x: x[0])
-        checked, failures = checked + c, failures + f
+        js = {j for j, _ in predicted}
+        departed, hit = _departures(d, drop, [j + window for j in js])
+        # _tally's counts: the union of the positions and their symmetric difference;
+        # when they agree the scanned list is (j, d - drop) at the predicted positions alone
+        union = len(js) + departed - hit
+        same = union == hit and predicted == [(j, d[j + window] - drop) for j in sorted(js)]
+        checked, failures = checked + union + 1, failures + union - hit + (0 if same else 1)
     return SuiteResult("set-equivalence", checked, failures)
 
 

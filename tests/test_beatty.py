@@ -29,6 +29,7 @@ from beattymatch import (
     mismatch_window,
     mismatches_between,
     recover_k,
+    shifted_floors,
 )
 from beattymatch import beatty
 from beattymatch.beatty import _bracket, _last_index
@@ -365,6 +366,7 @@ LEVEL_ROUTINES = [
     (discrepancy, (0,)),
     (is_mismatch, (0,)),
     (beatty.mismatch_threshold, ()),
+    (shifted_floors, (GOLDEN_WINDOW, 7)),
     (discrepancy_window, (GOLDEN_WINDOW,)),
     (mismatch_window, (GOLDEN_WINDOW,)),
     (mismatch_set, (0, 2)),
@@ -451,6 +453,13 @@ def test_floor_window_around_zero():
             _check_window(u, floor_window(u, j0, count), count)
 
 
+def _members(u, t, i, base):
+    """mismatch_window's offsets, checked to increase strictly."""
+    members = mismatch_window(u, t, i, base)
+    assert all(a < b for a, b in zip(members, members[1:])), (u, i, base.j0, members)
+    return members
+
+
 def test_mismatch_window_at_exact_thresholds(monkeypatch):
     # frac(-G_i*beta) equals the membership threshold exactly: beta**i
     # (family a, even i) or 1 - beta**i, so the bracket straddles it and
@@ -466,9 +475,25 @@ def test_mismatch_window_at_exact_thresholds(monkeypatch):
             for j0, count in windows:
                 base = floor_window(u, j0, count)
                 js = range(j0, j0 + count)
-                assert mismatch_window(u, t, i, base) == [exact(u, t, i, j) for j in js], (u, i, j0)
+                assert _members(u, t, i, base) == [o for o, j in enumerate(js) if exact(u, t, i, j)], (u, i, j0)
                 assert discrepancy_window(u, t, i, base) == [discrepancy(u, t, i, j) for j in js], (u, i, j0)
             assert fallbacks.count(-t[i]) == 3, (u, i, fallbacks)
+
+
+def test_shifted_floors_slice_a_window_that_reaches(monkeypatch):
+    # a window that reaches j + G_i gives the shifted floors as a slice, with
+    # no floor_mul; one point shorter, they come from a window of their own
+    calls = _counting_floor_mul(monkeypatch)
+    for u in UNITS:
+        t = TABLES[u]
+        for i in range(1, 9):
+            for j0, count in ((-7, 15), (-t[i], 4), (t[i] - 3, 6)):
+                want = [u.floor_mul(j + t[i]) for j in range(j0, j0 + count)]
+                for extra, cost in ((0, 0), (-1, 3)):
+                    window = floor_window(u, j0, count + t[i] + extra)
+                    del calls[:]
+                    assert shifted_floors(u, t, i, window, count) == want, (u, i, j0, extra)
+                    assert len(calls) == cost, (u, i, j0, extra, calls)
 
 
 def _closed_form_position(u, t, i, k):
@@ -578,7 +603,7 @@ def test_window_kernel_at_random_anchors(u, i, j0, count):
     _check_window(u, base, count)
     js = range(j0, j0 + count)
     assert discrepancy_window(u, t, i, base) == [discrepancy(u, t, i, j) for j in js]
-    assert mismatch_window(u, t, i, base) == [is_mismatch(u, t, i, j) for j in js]
+    assert _members(u, t, i, base) == [o for o, j in enumerate(js) if is_mismatch(u, t, i, j)]
 
 
 @settings(max_examples=80, deadline=None)

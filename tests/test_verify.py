@@ -2,9 +2,22 @@ from __future__ import annotations
 
 import pytest
 
-from beattymatch import Family, GFib, beatty
+from beattymatch import (
+    Family,
+    GFib,
+    MismatchRecord,
+    beatty,
+    brute_force_mismatches,
+    discrepancy,
+    is_mismatch,
+    make_unit,
+    mismatch_epsilon,
+    verify,
+)
 from beattymatch.gfib import MAX_TABLE_BITS
 from beattymatch.verify import SUITES, default_units, render_report, run_suites
+
+WINDOW_SUITES = ["range-law", "criterion-equivalence", "set-equivalence"]
 
 
 def test_default_grid_composition():
@@ -134,6 +147,112 @@ def test_position_suites_count_one_failure_per_missing_position(monkeypatch):
         assert c.passed
         assert f.failures == 3 * 3 * len(default_units()), f
         assert f.checked == c.checked, (c, f)
+
+
+def _seam_windows(table, g_max=40):
+    """W = 0 and, for every level 1..12 with G_i <= g_max, each W with
+    G_i = 2W - 1, 2W, 2W + 1 or W: where a level's shifted floors stop or
+    start being a slice of the unit's shared floor window."""
+    ws = {0}
+    for g in (table[i] for i in range(1, 13)):
+        if g <= g_max:
+            ws |= {w for w in ((g + 1) // 2, g // 2, (g - 1) // 2, g) if g in (2 * w - 1, 2 * w, 2 * w + 1, w)}
+    return sorted(ws)
+
+
+def test_window_suites_at_level_seams():
+    # the differences of every level equal the pointwise discrepancy, and the
+    # three suites report the tallies of the pointwise oracles, whether a
+    # level's shifted floors are a slice of the shared window or its own
+    for u in default_units():
+        tables = {u: GFib.for_level(u, 12)}
+        t = tables[u]
+        for w in _seam_windows(t):
+            js = range(-w, w + 1)
+            law, crit, sets = [0, 0], [0, 0], [0, 0]
+            levels = list(verify._level_windows([u], tables, 12, w))
+            assert [i for _, _, i, *_ in levels] == list(range(1, 13)), (u, w)
+            for _, _, i, base, drop, d in levels:
+                disc = [discrepancy(u, t, i, j) for j in js]
+                assert base.floors == [u.floor_mul(j) for j in js], (u, w)
+                assert [x - drop for x in d] == disc, (u, w, i)
+                hits = [is_mismatch(u, t, i, j) for j in js]
+                law[0] += len(js)
+                law[1] += sum(e not in (0, mismatch_epsilon(u, i)) for e in disc)
+                crit[0] += len(js)
+                crit[1] += sum((e != 0) != hit for e, hit in zip(disc, hits))
+                want = brute_force_mismatches(u, t, i, -w, w)
+                got = [(r.j, r.epsilon) for r in beatty.mismatches_between(u, t, i, -w, w)]
+                union, odd = {j for j, _ in got} | {j for j, _ in want}, {j for j, _ in got} ^ {j for j, _ in want}
+                sets[0] += len(union) + 1
+                sets[1] += 0 if got == want else len(odd) + 1
+            results = run_suites(names=WINDOW_SUITES, units=[u], i_max=12, window=w)
+            assert [[r.checked, r.failures] for r in results] == [law, crit, sets], (u, w)
+
+
+# one unit of family a at window 29, which is a level-2 and level-4 mismatch
+PIN_UNIT, PIN_WINDOW, PIN_LEVELS = make_unit("a", 2), 29, 4
+
+
+def _last_moved_outside(records, j_lo, j_hi):
+    return [records[-1]._replace(j=j_lo - 1)] + records[:-1]
+
+
+def _first_twice(records, j_lo, j_hi):
+    return records[:1] + records[:-1]
+
+
+def _first_moved_to_a_match(records, j_lo, j_hi):
+    taken = {r.j for r in records}
+    j = next(j for j in range(j_lo, j_hi + 1) if j not in taken)
+    return sorted(records[1:] + [MismatchRecord(j, None, 0)], key=lambda r: r.j)
+
+
+def _first_with_the_wrong_sign(records, j_lo, j_hi):
+    return [records[0]._replace(epsilon=-records[0].epsilon)] + records[1:]
+
+
+@pytest.mark.parametrize(
+    "corrupt, checked, failures",
+    [
+        # (checked, failures) as the exact position tally reports them
+        (_last_moved_outside, 50, 12),
+        (_first_twice, 46, 8),
+        (_first_moved_to_a_match, 50, 12),
+        (_first_with_the_wrong_sign, 46, 4),
+    ],
+)
+def test_set_equivalence_counts_only_records_it_can_trust(monkeypatch, corrupt, checked, failures):
+    # each corrupt list keeps its length, and the first three would pass a
+    # bare count: a record at -W - 1 reads d[-1] (here the level-2 and level-4
+    # mismatch at W), a duplicate reads one place twice and eps = 0 matches a match
+    u, w = PIN_UNIT, PIN_WINDOW
+    t = GFib.for_level(u, PIN_LEVELS)
+    assert is_mismatch(u, t, 2, w) and is_mismatch(u, t, 4, w)
+    plain = beatty.mismatches_between
+    monkeypatch.setattr(beatty, "mismatches_between", lambda *a: corrupt(plain(*a), a[3], a[4]))
+    (result,) = run_suites(names=["set-equivalence"], units=[u], i_max=PIN_LEVELS, window=w)
+    assert (result.checked, result.failures) == (checked, failures)
+
+
+@pytest.mark.parametrize(
+    "fault_j, failures",
+    [
+        (-5, 2),  # a +1 mismatch at levels 1 and 3, where adding 1 keeps it nonzero
+        (0, 4),  # a -1 mismatch at levels 2 and 4, where adding 1 makes it a match
+        (1, 4),  # a match at every level
+    ],
+)
+def test_criterion_equivalence_fault_counts(fault_j, failures):
+    u, w = PIN_UNIT, PIN_WINDOW
+    t = GFib.for_level(u, PIN_LEVELS)
+    assert [discrepancy(u, t, i, fault_j) for i in range(1, PIN_LEVELS + 1)] == {
+        -5: [1, 0, 1, 0],
+        0: [0, -1, 0, -1],
+        1: [0, 0, 0, 0],
+    }[fault_j]
+    (result,) = run_suites(names=["criterion-equivalence"], units=[u], i_max=PIN_LEVELS, window=w, fault_j=fault_j)
+    assert (result.checked, result.failures) == (4 * (2 * w + 1), failures)
 
 
 def test_report_shape():
