@@ -151,13 +151,6 @@ def shifted_floors(unit: QuadraticUnit, table: GFib, i: int, window: FloorWindow
     return floor_window(unit, window.j0 + shift, count).floors
 
 
-def discrepancy_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
-    """:func:`discrepancy` at every j of ``base``: the :func:`shifted_floors`
-    minus those of ``base``, minus G_{i-1}."""
-    drop = table.level(unit, i)[0]
-    return [s - b - drop for s, b in zip(shifted_floors(unit, table, i, base, len(base.floors)), base.floors)]
-
-
 def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
     """The offsets t, increasing, of the j = base.j0 + t where :func:`is_mismatch`
     holds, decided on the certified fractional brackets [lows[t], lows[t] + t + 1)

@@ -151,18 +151,14 @@ def _json_doc(config: dict, keys: Sequence[str], blocks: Iterable[Iterable[tuple
     yield ("[]" if sep == "[\n" else "\n  ]") + tail + "\n"
 
 
-def _table(fmt: str, config: dict, keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
-    return _json_doc(config, keys, blocks) if fmt == "json" else _csv_doc(keys, blocks)
-
-
-def _unit_from_args(args: argparse.Namespace) -> QuadraticUnit:
-    return make_unit(args.family, args.m)
-
-
-def _table_for(unit: QuadraticUnit, i: int) -> GFib:
-    if i < 1:
-        raise UsageError(f"--i must be >= 1, got {i}")
-    return GFib.for_level(unit, i)
+def _document(args: argparse.Namespace, keys: Sequence[str], blocks: Iterable[Iterable[tuple]], **fields) -> int:
+    """Write the rows as the CSV or JSON document of ``--format`` to ``--out``.
+    The JSON config holds the command, unit and format of ``args`` and the
+    command's own ``fields``."""
+    if args.format == "json":
+        config = {"command": args.command, "family": args.family, "m": args.m, "format": args.format, **fields}
+        return _emit(_json_doc(config, keys, blocks), args.out)
+    return _emit(_csv_doc(keys, blocks), args.out)
 
 
 # ---------------------------------------------------------------- commands
@@ -175,17 +171,8 @@ def _seq_blocks(unit: QuadraticUnit, j_lo: int, j_hi: int) -> Iterator[Iterable[
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    unit = _unit_from_args(args)
-    config = {
-        "command": "seq",
-        "family": args.family,
-        "m": args.m,
-        "from": args.j_lo,
-        "to": args.j_hi,
-        "format": args.format,
-    }
-    blocks = _seq_blocks(unit, args.j_lo, args.j_hi)
-    return _emit(_table(args.format, config, ("j", "floor"), blocks), args.out)
+    blocks = _seq_blocks(make_unit(args.family, args.m), args.j_lo, args.j_hi)
+    return _document(args, ("j", "floor"), blocks, **{"from": args.j_lo, "to": args.j_hi})
 
 
 def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, special: str) -> Iterator[list[tuple]]:
@@ -198,56 +185,36 @@ def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, specia
 
 
 def cmd_mismatch(args: argparse.Namespace) -> int:
-    unit = _unit_from_args(args)
-    table = _table_for(unit, args.i)
+    unit = make_unit(args.family, args.m)
+    table = GFib.for_level(unit, args.i)
     if (args.k_lo is None) != (args.k_hi is None):
         raise UsageError("--k-from and --k-to must be given together")
     ks = index_range(unit, table, args.i, args.j_lo, args.j_hi)
-    config = {
-        "command": "mismatch",
-        "family": args.family,
-        "m": args.m,
-        "i": args.i,
-        "from": args.j_lo,
-        "to": args.j_hi,
-        "format": args.format,
-    }
+    fields = {"i": args.i, "from": args.j_lo, "to": args.j_hi}
     if args.k_lo is not None:
         if args.k_lo > args.k_hi:
             raise UsageError(f"index range {args.k_lo}..{args.k_hi} is empty")
         # j(k) increases with k, so clipping to the j-window clips the index range
         ks = range(max(ks.start, args.k_lo), min(ks.stop, args.k_hi + 1))
-        config["k_from"] = args.k_lo
-        config["k_to"] = args.k_hi
+        fields.update(k_from=args.k_lo, k_to=args.k_hi)
     special = "null" if args.format == "json" else "special"
     blocks = _mismatch_blocks(unit, table, args.i, ks, special)
-    return _emit(_table(args.format, config, ("j", "k", "epsilon"), blocks), args.out)
+    return _document(args, ("j", "k", "epsilon"), blocks, **fields)
 
 
 def cmd_freq(args: argparse.Namespace) -> int:
-    unit = _unit_from_args(args)
-    table = _table_for(unit, args.i)
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
-    summary = frequency_scan(unit, table, args.i, args.n)
+    unit = make_unit(args.family, args.m)
+    summary = frequency_scan(unit, GFib.for_level(unit, args.i), args.i, args.n)
     total = 2 * args.n + 1
-    config = {
-        "command": "freq",
-        "family": args.family,
-        "m": args.m,
-        "i": args.i,
-        "n": args.n,
-        "format": args.format,
-    }
     exact = f"{summary.mismatch_count}/{total}"
     decimal = float(summary.frequency)
     if args.format == "json":
-        fields = (json.dumps(exact), json.dumps(decimal), json.dumps(summary.target))
+        tokens = (json.dumps(exact), json.dumps(decimal), json.dumps(summary.target))
     else:
-        fields = (exact, f"{decimal:.10f}", f"{summary.target:.10f}")
+        tokens = (exact, f"{decimal:.10f}", f"{summary.target:.10f}")
     keys = ("i", "n", "count", "total", "frequency", "frequency_decimal", "target")
-    row = (summary.i, args.n, summary.mismatch_count, total, *fields)
-    return _emit(_table(args.format, config, keys, [[row]]), args.out)
+    row = (summary.i, args.n, summary.mismatch_count, total, *tokens)
+    return _document(args, keys, [[row]], i=args.i, n=args.n)
 
 
 def _cut_blocks(unit: QuadraticUnit, window: Window, width: int, b_lo: int, b_hi: int) -> Iterator[list[tuple]]:
@@ -258,28 +225,15 @@ def _cut_blocks(unit: QuadraticUnit, window: Window, width: int, b_lo: int, b_hi
 
 
 def cmd_cut(args: argparse.Namespace) -> int:
-    unit = _unit_from_args(args)
+    unit = make_unit(args.family, args.m)
     lo = parse_endpoint(args.lo, unit)
     hi = parse_endpoint(args.hi, unit)
-    try:
-        window = Window(lo, hi)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    window = Window(lo, hi)
     width = (hi - lo).floor() + 1
     if width > CUT_MAX_WIDTH:
         raise UsageError(f"a cut window of up to {width} points per b exceeds the cap of {CUT_MAX_WIDTH}")
-    config = {
-        "command": "cut",
-        "family": args.family,
-        "m": args.m,
-        "lo": str(lo),
-        "hi": str(hi),
-        "from": args.b_lo,
-        "to": args.b_hi,
-        "format": args.format,
-    }
     blocks = _cut_blocks(unit, window, width, args.b_lo, args.b_hi)
-    return _emit(_table(args.format, config, ("a", "b"), blocks), args.out)
+    return _document(args, ("a", "b"), blocks, lo=str(lo), hi=str(hi), **{"from": args.b_lo, "to": args.b_hi})
 
 
 # ---------------------------------------------------------------- plotting
@@ -359,8 +313,8 @@ def render_ascii(j_lo: int, main: Sequence[int], overlay: Sequence[int], marks: 
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    unit = _unit_from_args(args)
-    table = _table_for(unit, args.i)
+    unit = make_unit(args.family, args.m)
+    table = GFib.for_level(unit, args.i)
     j_lo, j_hi = args.j_lo, args.j_hi
     count = max(0, j_hi - j_lo + 1)
     drop, shift = table.level(unit, args.i)
@@ -402,15 +356,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_unit_flags(p: argparse.ArgumentParser) -> None:
+def _add_unit_flags(p: argparse.ArgumentParser, level: bool = False) -> None:
     p.add_argument("--family", choices=("a", "b"), default="a",
                    help="unit family: a solves x^2+mx=1, b solves x^2-mx=-1 (default a)")
     p.add_argument("--m", type=int, default=1, help="recurrence parameter (default 1)")
+    if level:
+        p.add_argument("--i", type=int, default=1, help="shift level (default 1)")
 
 
-def _add_range_flags(p: argparse.ArgumentParser, lo: int, hi: int, what: str) -> None:
-    p.add_argument("--from", dest="j_lo", type=int, default=lo, help=f"first {what} (default {lo})")
-    p.add_argument("--to", dest="j_hi", type=int, default=hi, help=f"last {what} (default {hi})")
+def _add_range_flags(p: argparse.ArgumentParser, lo: int, hi: int, what: str, axis: str = "j") -> None:
+    p.add_argument("--from", dest=f"{axis}_lo", type=int, default=lo, help=f"first {what} (default {lo})")
+    p.add_argument("--to", dest=f"{axis}_hi", type=int, default=hi, help=f"last {what} (default {hi})")
+
+
+def _add_output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,18 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq = sub.add_parser("seq", help="table of floor(j*beta)")
     _add_unit_flags(p_seq)
     _add_range_flags(p_seq, 0, 20, "index j")
-    p_seq.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_seq.add_argument("--out", default=None, help="output path (default stdout)")
+    _add_output_flags(p_seq, ("csv", "json"))
     p_seq.set_defaults(handler=cmd_seq)
 
     p_mis = sub.add_parser("mismatch", help="closed-form exceptional positions")
-    _add_unit_flags(p_mis)
-    p_mis.add_argument("--i", type=int, default=1, help="shift level (default 1)")
+    _add_unit_flags(p_mis, level=True)
     _add_range_flags(p_mis, -20, 20, "position j")
     p_mis.add_argument("--k-from", dest="k_lo", type=int, default=None, help="explicit low index")
     p_mis.add_argument("--k-to", dest="k_hi", type=int, default=None, help="explicit high index")
-    p_mis.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_mis.add_argument("--out", default=None)
+    _add_output_flags(p_mis, ("csv", "json"))
     p_mis.set_defaults(handler=cmd_mismatch)
 
     p_plot = sub.add_parser(
@@ -443,19 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
                     f"an svg of more than {PLOT_MAX_POINTS} points (j values), an ascii plot of more "
                     f"than {PLOT_MAX_CELLS} cells (columns x rows).",
     )
-    _add_unit_flags(p_plot)
-    p_plot.add_argument("--i", type=int, default=1, help="shift level (default 1)")
+    _add_unit_flags(p_plot, level=True)
     _add_range_flags(p_plot, 0, 40, "index j")
-    p_plot.add_argument("--format", choices=("svg", "ascii"), default="svg")
-    p_plot.add_argument("--out", default=None)
+    _add_output_flags(p_plot, ("svg", "ascii"))
     p_plot.set_defaults(handler=cmd_plot)
 
     p_freq = sub.add_parser("freq", help="exact mismatch frequency over [-n, n]")
-    _add_unit_flags(p_freq)
-    p_freq.add_argument("--i", type=int, default=1, help="shift level (default 1)")
+    _add_unit_flags(p_freq, level=True)
     p_freq.add_argument("--n", type=int, default=100_000, help="window radius (default 100000)")
-    p_freq.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_freq.add_argument("--out", default=None)
+    _add_output_flags(p_freq, ("csv", "json"))
     p_freq.set_defaults(handler=cmd_freq)
 
     p_cut = sub.add_parser(
@@ -466,10 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_unit_flags(p_cut)
     p_cut.add_argument("--lo", default="0", help="window low endpoint, e.g. '0' or '1+(-1)*beta'")
     p_cut.add_argument("--hi", default="1", help="window high endpoint (exclusive)")
-    p_cut.add_argument("--from", dest="b_lo", type=int, default=-10, help="first b coordinate (default -10)")
-    p_cut.add_argument("--to", dest="b_hi", type=int, default=10, help="last b coordinate (default 10)")
-    p_cut.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cut.add_argument("--out", default=None)
+    _add_range_flags(p_cut, -10, 10, "b coordinate", axis="b")
+    _add_output_flags(p_cut, ("csv", "json"))
     p_cut.set_defaults(handler=cmd_cut)
 
     p_ver = sub.add_parser(

@@ -259,6 +259,8 @@ def run_suites(
 
     ``fault_j``, in [-window, window], adds 1 to the discrepancy at that position
     inside the criterion-equivalence suite, which must be chosen, as a negative control.
+    Bad arguments raise ValueError before any suite runs; a suite that raises
+    reports one failure, with the exception in its note, and the others still run.
     """
     chosen = list(names) if names is not None else list(SUITES)
     for name in chosen:
@@ -289,7 +291,14 @@ def run_suites(
         "sigma-identities": lambda: _suite_sigma_identities(grid, tables, b_span),
         "level-bridge": lambda: _suite_level_bridge(grid, tables, i_max, b_span),
     }
-    return [runners[name]() for name in chosen]
+    results = []
+    for name in chosen:
+        # the arguments are checked, so an exception is the suite's failure, not a refusal
+        try:
+            results.append(runners[name]())
+        except Exception as exc:
+            results.append(SuiteResult(name, 0, 1, note=f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def render_report(results: Sequence[SuiteResult]) -> str:

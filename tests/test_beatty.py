@@ -19,7 +19,6 @@ from beattymatch import (
     brute_force_mismatches,
     coverage_k,
     discrepancy,
-    discrepancy_window,
     floor_window,
     frequency_scan,
     is_mismatch,
@@ -367,7 +366,6 @@ LEVEL_ROUTINES = [
     (is_mismatch, (0,)),
     (beatty.mismatch_threshold, ()),
     (shifted_floors, (GOLDEN_WINDOW, 7)),
-    (discrepancy_window, (GOLDEN_WINDOW,)),
     (mismatch_window, (GOLDEN_WINDOW,)),
     (mismatch_set, (0, 2)),
     (beatty.index_range, (-5, 5)),
@@ -476,7 +474,8 @@ def test_mismatch_window_at_exact_thresholds(monkeypatch):
                 base = floor_window(u, j0, count)
                 js = range(j0, j0 + count)
                 assert _members(u, t, i, base) == [o for o, j in enumerate(js) if exact(u, t, i, j)], (u, i, j0)
-                assert discrepancy_window(u, t, i, base) == [discrepancy(u, t, i, j) for j in js], (u, i, j0)
+                diffs = [s - b - t[i - 1] for s, b in zip(shifted_floors(u, t, i, base, count), base.floors)]
+                assert diffs == [discrepancy(u, t, i, j) for j in js], (u, i, j0)
             assert fallbacks.count(-t[i]) == 3, (u, i, fallbacks)
 
 
@@ -602,7 +601,8 @@ def test_window_kernel_at_random_anchors(u, i, j0, count):
     base = floor_window(u, j0, count)
     _check_window(u, base, count)
     js = range(j0, j0 + count)
-    assert discrepancy_window(u, t, i, base) == [discrepancy(u, t, i, j) for j in js]
+    diffs = [s - b - t[i - 1] for s, b in zip(shifted_floors(u, t, i, base, count), base.floors)]
+    assert diffs == [discrepancy(u, t, i, j) for j in js]
     assert _members(u, t, i, base) == [o for o, j in enumerate(js) if is_mismatch(u, t, i, j)]
 
 

@@ -392,12 +392,27 @@ def test_verify_refuses_a_fault_that_injects_nothing(capsys):
         assert "fault position" in err
 
 
-def test_usage_errors_exit_one(capsys):
-    assert run_cli(capsys, "seq", "--family", "c")[0] == 1
-    assert run_cli(capsys, "verify", "--suite", "bogus")[0] == 1
-    assert run_cli(capsys, "nonsense")[0] == 1
-    assert run_cli(capsys, "freq", "--family", "b", "--m", "2")[0] == 1  # m too small
-    assert run_cli(capsys, "mismatch", "--i", "0")[0] == 1
+def test_usage_errors_exit_one(capsys, tmp_path):
+    # argparse prints its usage line, then "<prog>: error: ..."
+    for argv in (("seq", "--family", "c"), ("verify", "--suite", "bogus"), ("nonsense",)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("usage:") and ": error: " in err.splitlines()[-1], argv
+    # the library's checks, reached before the first byte of stdout or --out:
+    # m too small for family b, a level below 1, a negative radius
+    target = tmp_path / "refused.out"
+    for argv in (
+        ("freq", "--family", "b", "--m", "2"),
+        ("mismatch", "--i", "0"),
+        ("plot", "--i", "0"),
+        ("freq", "--i", "0"),
+        ("freq", "--n", "-1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+        assert run_cli(capsys, *argv, "--out", str(target))[0] == 1
+        assert not target.exists(), argv
 
 
 def test_help_exits_zero(capsys):

@@ -5,9 +5,11 @@ import pytest
 from beattymatch import (
     Family,
     GFib,
+    InvariantError,
     MismatchRecord,
     beatty,
     brute_force_mismatches,
+    cli,
     discrepancy,
     is_mismatch,
     make_unit,
@@ -96,6 +98,23 @@ def test_table_cap_holds_for_the_whole_grid(monkeypatch):
         run_suites(names=[], i_max=25_706)
     assert built == []
     assert all(GFib.size_bound(u, 25_706) <= MAX_TABLE_BITS for u in default_units())
+
+
+def test_a_suite_that_raises_fails_alone(monkeypatch, capsys):
+    # a broken routine fails the suites that use it, names them in the report
+    # and exits 2; it is not a refusal of the arguments (exit 1)
+    def broken(unit, j0, count):
+        raise InvariantError(f"{unit}: planted window fault")
+
+    monkeypatch.setattr(verify.beatty, "floor_window", broken)
+    law, freq = run_suites(names=["range-law", "frequency"], i_max=3, window=50, freq_n=500)
+    assert (law.name, law.checked, law.failures) == ("range-law", 0, 1)
+    assert "planted window fault" in law.note
+    assert freq.name == "frequency" and freq.passed
+    assert cli.main(["verify", "--suite", "range-law", "--suite", "frequency"]) == 2
+    out, err = capsys.readouterr()
+    assert "planted window fault" in out and "overall: FAIL" in out
+    assert err == ""
 
 
 def test_fault_injection_breaks_equivalence_only():
