@@ -17,7 +17,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from itertools import repeat
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .gfib import GFib
 from .units import InvariantError, QuadraticUnit, ZBeta, beta_pow, mismatch_epsilon
@@ -221,22 +222,27 @@ def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
     return c if j <= x else c - 1
 
 
+def _mismatch_column(unit: QuadraticUnit, table: GFib, i: int, ks: range) -> tuple[bool, int, Iterator[int]]:
+    """Whether k = 0 marks the extra element -G_i (s = -1), eps_i, and the
+    positions j(k) of :func:`_position` for k in ks, in order, with
+    floor(s*k*beta) from one :func:`floor_window`, anchored at -max(ks) and
+    read backwards when s = -1."""
+    s, pos, _ = _position(unit, table, i)
+    floors = floor_window(unit, ks.start if s > 0 else 1 - ks.stop, len(ks)).floors
+    return s < 0, mismatch_epsilon(unit, i), map(pos, ks, floors if s > 0 else reversed(floors))
+
+
 def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:
     """The exceptional positions j(k) of :func:`_position` for k_lo <= k <= k_hi,
-    sorted, with floor(s*k*beta) from one :func:`floor_window`, anchored at
-    -k_hi and read backwards when s = -1.  The k = 0 record of family a at
+    sorted (see :func:`_mismatch_column`).  The k = 0 record of family a at
     odd i (s = -1), the extra element -G_i, carries k = None.
     """
-    s, pos, _ = _position(unit, table, i)
-    if k_lo > k_hi:
-        raise ValueError(f"index range {k_lo}..{k_hi} is empty")
-    eps = mismatch_epsilon(unit, i)
     ks = range(k_lo, k_hi + 1)
-    floors = floor_window(unit, k_lo if s > 0 else -k_hi, len(ks)).floors
-    if s < 0:
-        floors.reverse()
-    records = [MismatchRecord(pos(k, f), k, eps) for k, f in zip(ks, floors)]
-    if s < 0 and k_lo <= 0 <= k_hi:
+    extra, eps, js = _mismatch_column(unit, table, i, ks)
+    if not ks:
+        raise ValueError(f"index range {k_lo}..{k_hi} is empty")
+    records = list(map(MismatchRecord, js, ks, repeat(eps)))
+    if extra and k_lo <= 0 <= k_hi:
         records[-k_lo] = records[-k_lo]._replace(k=None)
     return records
 

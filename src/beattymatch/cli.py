@@ -4,33 +4,39 @@ Subcommands: seq (floor table), mismatch (closed-form exceptional
 positions), plot (step graph with shifted overlay, SVG or ascii), freq
 (exact window frequency), cut (cut-and-project points), verify
 (cross-check suites).  Identical arguments produce byte-identical
-output.  Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 output I/O error (including a reader that closed the pipe).
+output.  Exit codes: 0 success, 1 usage error, 2 verification failure
+or a failed internal check, 3 output I/O error (including a reader that
+closed the pipe).
 
 Every argument is checked before the first byte goes out.  The
 documents are then written in blocks of at most BLOCK_ROWS rows, each
 drawn from one certified floor window, so none is held in memory whole;
-``--out`` goes to a temporary file that is renamed into place.
+a block is a stream of plain tuples from the library, written with one
+``%`` format.  ``--out`` goes to a temporary file that is renamed into
+place.  The parser is built once per process, on the first call of
+:func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import re
 import shutil
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import starmap
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import verify
-from .beatty import floor_window, frequency_scan, index_range, mismatch_set
-from .cutproject import Window, cut_points
+from .beatty import _mismatch_column, floor_window, frequency_scan, index_range
+from .cutproject import Window, _cut_rows
 from .gfib import MAX_TABLE_BITS, GFib
-from .units import QuadraticUnit, ZBeta, make_unit
+from .units import InvariantError, QuadraticUnit, ZBeta, make_unit
 
 SVG_WIDTH = 800
 SVG_HEIGHT = 600
@@ -122,31 +128,37 @@ def _write_file(chunks: Iterable[str], out: str) -> None:
 
 
 def _csv_doc(keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
-    """CSV text of the rows, one chunk per block.  Every field is an int
-    or a fixed token without commas, quotes or newlines, so none needs
-    quoting and plain formatting equals csv.writer's output."""
+    """CSV text of the rows, one chunk per block, filled by one ``%`` on the
+    block's values.  Every field is an int or a fixed token without commas,
+    quotes or newlines, so none needs quoting and plain formatting equals
+    csv.writer's output."""
     yield ",".join(keys) + "\n"
-    line = ",".join(f"{{{c}}}" for c in range(len(keys))) + "\n"
+    line = ",".join(["%s"] * len(keys)) + "\n"
     for block in blocks:
-        yield "".join(starmap(line.format, block))
+        values = tuple(chain.from_iterable(block))
+        yield line * (len(values) // len(keys)) % values
 
 
 def _json_doc(config: dict, keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
     """The text of json.dumps({"config": config, "rows": rows}, indent=2,
     sort_keys=True) + newline, one chunk per block, where each row maps
     ``keys`` to the JSON tokens of one tuple (ints, null, or already
-    encoded strings and floats).  Rows come from one template for the
-    sorted keys: with ``indent`` set, json.dumps runs its pure-Python
-    encoder, several times slower."""
+    encoded strings and floats).  A block is one ``%`` on its values,
+    taken in sorted-key order, into copies of one row template: with
+    ``indent`` set, json.dumps runs its pure-Python encoder, several times
+    slower."""
     head, _, tail = json.dumps({"config": config, "rows": []}, indent=2, sort_keys=True).rpartition("[]")
     order = sorted(range(len(keys)), key=keys.__getitem__)
-    row = "    {{\n" + ",\n".join(f'      "{keys[c]}": {{{c}}}' for c in order) + "\n    }}"
+    fields = (json.dumps(keys[c]).replace("%", "%%") for c in order)
+    row = "    {\n" + ",\n".join(f"      {key}: %s" for key in fields) + "\n    }"
+    # keys already sorted need no reordering; itemgetter of one index would not give a tuple
+    pick = None if order == list(range(len(keys))) else itemgetter(*order)
     yield head
     sep = "[\n"
     for block in blocks:
-        text = ",\n".join(starmap(row.format, block))
-        if text:
-            yield sep + text
+        values = tuple(chain.from_iterable(block if pick is None else map(pick, block)))
+        if values:
+            yield (sep + ",\n".join(repeat(row, len(values) // len(keys)))) % values
             sep = ",\n"
     yield ("[]" if sep == "[\n" else "\n  ]") + tail + "\n"
 
@@ -175,13 +187,14 @@ def cmd_seq(args: argparse.Namespace) -> int:
     return _document(args, ("j", "floor"), blocks, **{"from": args.j_lo, "to": args.j_hi})
 
 
-def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, special: str) -> Iterator[list[tuple]]:
+def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, special: str) -> Iterator[Iterable[tuple]]:
     for k0 in range(ks.start, ks.stop, BLOCK_ROWS):
-        records = mismatch_set(unit, table, i, k0, min(k0 + BLOCK_ROWS, ks.stop) - 1)
-        # the extra element, if any, fills the k = 0 slot, at index -k0
-        if k0 <= 0 < k0 + len(records) and records[-k0].k is None:
-            records[-k0] = records[-k0]._replace(k=special)
-        yield records
+        block = range(k0, min(k0 + BLOCK_ROWS, ks.stop))
+        extra, eps, js = _mismatch_column(unit, table, i, block)
+        column: Iterable = block
+        if extra and 0 in block:
+            column = chain(range(k0, 0), [special], range(1, block.stop))
+        yield zip(js, column, repeat(eps))
 
 
 def cmd_mismatch(args: argparse.Namespace) -> int:
@@ -217,11 +230,11 @@ def cmd_freq(args: argparse.Namespace) -> int:
     return _document(args, keys, [[row]], i=args.i, n=args.n)
 
 
-def _cut_blocks(unit: QuadraticUnit, window: Window, width: int, b_lo: int, b_hi: int) -> Iterator[list[tuple]]:
+def _cut_blocks(unit: QuadraticUnit, window: Window, width: int, b_lo: int, b_hi: int) -> Iterator[Iterable[tuple]]:
     # one b holds width - 1 or width points
     step = max(1, BLOCK_ROWS // width)
     for b0 in range(b_lo, b_hi + 1, step):
-        yield cut_points(unit, window, b0, min(b0 + step - 1, b_hi))
+        yield _cut_rows(unit, window, b0, min(b0 + step - 1, b_hi))
 
 
 def cmd_cut(args: argparse.Namespace) -> int:
@@ -374,6 +387,7 @@ def _add_output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> N
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beattymatch",
@@ -445,14 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for usage problems
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
+    except InvariantError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,9 @@ exceptional positions of the shift analysis a literal list comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import chain, repeat
+from operator import sub
+from typing import Iterable, Iterator, NamedTuple
 
 from .beatty import floor_window
 from .units import QuadraticUnit, UnitMismatch, ZBeta
@@ -49,9 +51,9 @@ class Window:
         return Window(self.lo * beta, self.hi * beta)
 
 
-def cut_points(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> list[LatticePoint]:
-    """All (a, b) with b_lo <= b <= b_hi and a + b*beta in the window,
-    ordered by (b, a).
+def _cut_rows(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> Iterator[tuple[int, int]]:
+    """The plain tuples (a, b) of :func:`cut_points`, in its order, produced
+    without a Python frame per point.
 
     The integers a with lo - b*beta <= a < hi - b*beta run from
     ceil(lo - b*beta) = lo.a - floor((b - lo.b)*beta) up to
@@ -62,9 +64,15 @@ def cut_points(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> lis
         raise UnitMismatch("window belongs to a different unit")
     lo, hi = window.lo, window.hi
     bs = range(b_lo, b_hi + 1)
-    lows = floor_window(unit, b_lo - lo.b, len(bs)).floors
-    highs = floor_window(unit, b_lo - hi.b, len(bs)).floors
-    return [LatticePoint(a, b) for b, fl, fh in zip(bs, lows, highs) for a in range(lo.a - fl, hi.a - fh)]
+    starts = map(sub, repeat(lo.a), floor_window(unit, b_lo - lo.b, len(bs)).floors)
+    stops = map(sub, repeat(hi.a), floor_window(unit, b_lo - hi.b, len(bs)).floors)
+    return chain.from_iterable(map(zip, map(range, starts, stops), map(repeat, bs)))
+
+
+def cut_points(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> list[LatticePoint]:
+    """All (a, b) with b_lo <= b <= b_hi and a + b*beta in the window,
+    ordered by (b, a); see :func:`_cut_rows`."""
+    return list(map(LatticePoint._make, _cut_rows(unit, window, b_lo, b_hi)))
 
 
 def unit_interval_points(unit: QuadraticUnit, b_lo: int, b_hi: int) -> list[LatticePoint]:

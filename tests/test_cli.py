@@ -13,11 +13,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from beattymatch import GFib, ZBeta, beta_pow, brute_force_mismatches, make_unit, mismatch_set
+from beattymatch import GFib, InvariantError, ZBeta, beta_pow, brute_force_mismatches, make_unit, mismatch_set, recover_k
 from beattymatch import cli
 from beattymatch.cli import BLOCK_ROWS, CUT_MAX_WIDTH, PLOT_MAX_CELLS, PLOT_MAX_POINTS, main, parse_endpoint
 from beattymatch.gfib import MAX_TABLE_BITS
-from beattymatch.verify import MAX_B_SPAN, MAX_WINDOW
+from beattymatch.verify import MAX_B_SPAN, MAX_WINDOW, SUITES
 
 
 def run_cli(capsys, *argv):
@@ -392,6 +392,21 @@ def test_verify_refuses_a_fault_that_injects_nothing(capsys):
         assert "fault position" in err
 
 
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    def suites(report):
+        return [line.split()[0] for line in report.splitlines()[1:-1]]
+
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "range-law", "--window", "0", "--i-max", "1")
+    assert (code, suites(out)) == (0, ["range-law"])
+    code, out, _ = run_cli(capsys, "verify", "--window", "0", "--i-max", "1")
+    assert (code, suites(out)) == (0, list(SUITES))
+    code, out, _ = run_cli(capsys, "seq", "--to", "2", "--format", "json")
+    assert (code, json.loads(out)["rows"]) == (0, [{"j": 0, "floor": 0}, {"j": 1, "floor": 0}, {"j": 2, "floor": 1}])
+    code, out, _ = run_cli(capsys, "seq", "--to", "2")
+    assert (code, out) == (0, "j,floor\n0,0\n1,0\n2,1\n")
+
+
 def test_usage_errors_exit_one(capsys, tmp_path):
     # argparse prints its usage line, then "<prog>: error: ..."
     for argv in (("seq", "--family", "c"), ("verify", "--suite", "bogus"), ("nonsense",)):
@@ -465,6 +480,8 @@ EMITTER_ROWS = (
     [(0, 0, 1)],
     [(-1, None, 1)],
     [(-BIG, -3, -1), (BIG, None, 1), (2**129, 2**128 + 1, -1), (-(2**200), 0, 1)],
+    # string fields that hold % format and str.format syntax
+    [("5%s{0}", None, 1), (7, "%", -1)],
 )
 
 
@@ -472,16 +489,30 @@ EMITTER_ROWS = (
 def test_emitters_equal_json_dumps_and_csv_writer(rows):
     keys = ("j", "k", "epsilon")
     config = {"command": "mismatch", "family": "a", "from": -BIG, "to": BIG, "k_from": None}
-    # split into blocks, an empty one among them, as the commands may yield
-    blocks = [rows[:1], [], rows[1:]]
 
-    def tokens(special):
-        return [[tuple(special if v is None else v for v in r) for r in b] for b in blocks]
+    def splits(special, encode):
+        """The rows as tokens, split as the commands may yield them: with an
+        empty block among them, one row per block, and as one block of
+        columns zipped, which can be read only once."""
+        tokens = [tuple(special if v is None else encode(v) if isinstance(v, str) else v for v in r) for r in rows]
+        yield [tokens[:1], [], tokens[1:]]
+        yield [[r] for r in tokens]
+        yield [zip(*[[r[c] for r in tokens] for c in range(len(keys))])]
 
-    got_json = "".join(cli._json_doc(config, keys, tokens("null")))
-    assert got_json == json_oracle(config, [dict(zip(keys, r)) for r in rows])
-    got_csv = "".join(cli._csv_doc(keys, tokens("special")))
-    assert got_csv == csv_oracle(keys, [["special" if v is None else v for v in r] for r in rows])
+    want_json = json_oracle(config, [dict(zip(keys, r)) for r in rows])
+    for blocks in splits("null", json.dumps):
+        assert "".join(cli._json_doc(config, keys, blocks)) == want_json
+    want_csv = csv_oracle(keys, [["special" if v is None else v for v in r] for r in rows])
+    for blocks in splits("special", str):
+        assert "".join(cli._csv_doc(keys, blocks)) == want_csv
+
+
+def test_emitters_take_keys_and_config_with_percent_signs():
+    keys = ("%s", "a%")
+    config = {"command": "freq", "note": "100%s"}
+    got_json = "".join(cli._json_doc(config, keys, [[(1, 2)], [(-3, 4)]]))
+    assert got_json == json_oracle(config, [{"%s": 1, "a%": 2}, {"%s": -3, "a%": 4}])
+    assert "".join(cli._csv_doc(keys, [[(1, 2)], [(-3, 4)]])) == csv_oracle(keys, [(1, 2), (-3, 4)])
 
 
 @pytest.mark.parametrize("extra", (-1, 0, 1))
@@ -520,6 +551,10 @@ def test_mismatch_at_block_seams(capsys, k_lo, extra):
     assert code == 0
     config = {"command": "mismatch", "family": "a", "m": 1, "i": 3, "from": j_lo, "to": j_hi, "format": "json"}
     assert out == json_oracle(config, [{"j": r.j, "k": r.k, "epsilon": r.epsilon} for r in records])
+    # mismatch_set and the command share one producer: check both against
+    # the brute-force scan, with k from the inverse bracket
+    brute = [(j, recover_k(unit, table, 3, j), e) for j, e in brute_force_mismatches(unit, table, 3, j_lo, j_hi)]
+    assert out == json_oracle(config, [{"j": j, "k": k, "epsilon": e} for j, k, e in brute])
 
 
 def test_mismatch_k_range_clipped_to_window(capsys):
@@ -691,7 +726,8 @@ def _fail_on_second_block(monkeypatch, exc):
     monkeypatch.setattr(cli, "floor_window", floor_window)
 
 
-@pytest.mark.parametrize("exc, want_code", [(OSError(28, "No space left on device"), 3), (ValueError("bad"), 1)])
+@pytest.mark.parametrize("exc, want_code", [(OSError(28, "No space left on device"), 3), (ValueError("bad"), 1),
+                                             (InvariantError("planted window fault"), 2)])
 @pytest.mark.parametrize("existing", [True, False])
 def test_out_failure_partway_leaves_target_alone(capsys, tmp_path, monkeypatch, exc, want_code, existing):
     target = tmp_path / "rows.csv"
