@@ -17,8 +17,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Iterator, NamedTuple, Optional
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .gfib import GFib
 from .units import InvariantError, QuadraticUnit, ZBeta, beta_pow, mismatch_epsilon
@@ -141,17 +141,6 @@ def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
     return FloorWindow(j0, bits, floors, sums)
 
 
-def shifted_floors(unit: QuadraticUnit, table: GFib, i: int, window: FloorWindow, count: int) -> list[int]:
-    """floor((j + G_i)*beta) for the first ``count`` j of ``window``: a slice of
-    the window where it reaches j + G_i, else a floor window of their own.
-    Only a window built longer than ``count``, as the window suites build
-    theirs, can be sliced."""
-    shift = table.level(unit, i)[1]
-    if shift + count <= len(window.floors):
-        return window.floors[shift : shift + count]
-    return floor_window(unit, window.j0 + shift, count).floors
-
-
 def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
     """The offsets t, increasing, of the j = base.j0 + t where :func:`is_mismatch`
     holds, decided on the certified fractional brackets [lows[t], lows[t] + t + 1)
@@ -216,20 +205,20 @@ def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int
     return s, c, pos(c, unit.floor_mul(s * c))
 
 
-def _last_index(unit: QuadraticUnit, table: GFib, i: int, x: int) -> int:
-    """The largest k with j(k) <= x: c of :func:`_bracket` if j(c) <= x, else c - 1."""
-    _, c, j = _bracket(unit, table, i, x)
-    return c if j <= x else c - 1
-
-
-def _mismatch_column(unit: QuadraticUnit, table: GFib, i: int, ks: range) -> tuple[bool, int, Iterator[int]]:
-    """Whether k = 0 marks the extra element -G_i (s = -1), eps_i, and the
-    positions j(k) of :func:`_position` for k in ks, in order, with
-    floor(s*k*beta) from one :func:`floor_window`, anchored at -max(ks) and
-    read backwards when s = -1."""
+def _mismatch_column(
+    unit: QuadraticUnit, table: GFib, i: int, ks: range, special: object
+) -> tuple[int, Iterator[int], Iterable]:
+    """eps_i, the positions j(k) of :func:`_position` for k in ks, in order,
+    with floor(s*k*beta) from one :func:`floor_window`, anchored at -max(ks)
+    and read backwards when s = -1, and the k column: ks, with ``special`` in
+    place of k = 0 when s = -1, where j(0) = -G_i is the extra element of
+    family a at odd i."""
     s, pos, _ = _position(unit, table, i)
     floors = floor_window(unit, ks.start if s > 0 else 1 - ks.stop, len(ks)).floors
-    return s < 0, mismatch_epsilon(unit, i), map(pos, ks, floors if s > 0 else reversed(floors))
+    column: Iterable = ks
+    if s < 0 and 0 in ks:
+        column = chain(range(ks.start, 0), [special], range(1, ks.stop))
+    return mismatch_epsilon(unit, i), map(pos, ks, floors if s > 0 else reversed(floors)), column
 
 
 def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:
@@ -238,19 +227,20 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
     odd i (s = -1), the extra element -G_i, carries k = None.
     """
     ks = range(k_lo, k_hi + 1)
-    extra, eps, js = _mismatch_column(unit, table, i, ks)
+    eps, js, column = _mismatch_column(unit, table, i, ks, None)
     if not ks:
         raise ValueError(f"index range {k_lo}..{k_hi} is empty")
-    records = list(map(MismatchRecord, js, ks, repeat(eps)))
-    if extra and k_lo <= 0 <= k_hi:
-        records[-k_lo] = records[-k_lo]._replace(k=None)
-    return records
+    return list(map(MismatchRecord, js, column, repeat(eps)))
 
 
 def index_range(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> range:
-    """The indices k whose closed-form positions lie in [j_lo, j_hi];
-    empty when the window holds none (or j_lo > j_hi)."""
-    return range(_last_index(unit, table, i, j_lo - 1) + 1, _last_index(unit, table, i, j_hi) + 1)
+    """The indices k whose closed-form positions lie in [j_lo, j_hi]; empty
+    when the window holds none (or j_lo > j_hi).  With c of :func:`_bracket`
+    at each end, the first is c, or c + 1 when j(c) < j_lo, and the last is
+    c, or c - 1 when j(c) > j_hi."""
+    _, lo, j = _bracket(unit, table, i, j_lo)
+    _, hi, k = _bracket(unit, table, i, j_hi)
+    return range(lo + (j < j_lo), hi + (k <= j_hi))
 
 
 def mismatches_between(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> list[MismatchRecord]:
@@ -294,11 +284,13 @@ def brute_force_mismatches(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, 
 
 
 def frequency_scan(unit: QuadraticUnit, table: GFib, i: int, n: int) -> ScanSummary:
-    """Exact share of exceptional positions among j in [-n, n], counted
-    on the enumeration index with O(1) floor evaluations for any n."""
+    """Exact share of exceptional positions among j in [-n, n]: the length of
+    :func:`index_range`, from four floor evaluations for any n."""
     if n < 0:
         raise ValueError(f"window radius must be >= 0, got {n}")
-    count = _last_index(unit, table, i, n) - _last_index(unit, table, i, -n - 1)
+    # stop - start, as len() of a range overflows past sys.maxsize
+    ks = index_range(unit, table, i, -n, n)
+    count = ks.stop - ks.start
     return ScanSummary(
         i=i,
         window=(-n, n),

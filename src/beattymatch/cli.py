@@ -189,11 +189,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, special: str) -> Iterator[Iterable[tuple]]:
     for k0 in range(ks.start, ks.stop, BLOCK_ROWS):
-        block = range(k0, min(k0 + BLOCK_ROWS, ks.stop))
-        extra, eps, js = _mismatch_column(unit, table, i, block)
-        column: Iterable = block
-        if extra and 0 in block:
-            column = chain(range(k0, 0), [special], range(1, block.stop))
+        eps, js, column = _mismatch_column(unit, table, i, range(k0, min(k0 + BLOCK_ROWS, ks.stop)), special)
         yield zip(js, column, repeat(eps))
 
 

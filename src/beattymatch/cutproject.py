@@ -31,8 +31,7 @@ class Window:
     hi: ZBeta
 
     def __post_init__(self) -> None:
-        if self.lo.unit != self.hi.unit:
-            raise UnitMismatch("window endpoints belong to different units")
+        # the difference raises UnitMismatch for endpoints of different units
         if (self.hi - self.lo).sign() < 0:
             raise ValueError("window endpoints out of order")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import beatty, cutproject
 from .gfib import MAX_TABLE_BITS, GFib
@@ -69,7 +69,8 @@ def _level_windows(
     floor window over [-window, window] and d the differences
     floor((j + G_i)*beta) - floor(j*beta) there.  Each unit builds one floor
     window over [-window, window + R], R the largest G_i <= 2*window; base and
-    the shifted floors of every level with G_i <= R are slices of it."""
+    the shifted floors of every level with G_i <= R are slices of it, and a
+    level with G_i > R builds its own floor window at G_i - window."""
     n = 2 * window + 1
     for u in units:
         t = tables[u]
@@ -77,8 +78,12 @@ def _level_windows(
         whole = beatty.floor_window(u, -window, n + max((g for *_, g in levels if g < n), default=0))
         # the first n points keep their brackets, at the precision of the whole window
         base = beatty.FloorWindow(whole.j0, whole.bits, whole.floors[:n], whole.sums[:n])
-        for i, drop, _ in levels:
-            yield u, t, i, base, drop, list(map(operator.sub, beatty.shifted_floors(u, t, i, whole, n), whole.floors))
+        for i, drop, shift in levels:
+            if shift + n <= len(whole.floors):
+                shifted = whole.floors[shift : shift + n]
+            else:
+                shifted = beatty.floor_window(u, shift - window, n).floors
+            yield u, t, i, base, drop, list(map(operator.sub, shifted, whole.floors))
 
 
 def _departures(d: list[int], drop: int, offsets: Iterable[int]) -> tuple[int, int]:
@@ -113,13 +118,13 @@ def _suite_criterion_equivalence(
     return SuiteResult("criterion-equivalence", checked, failures)
 
 
-def _tally(got: list, want: list, j: Callable = lambda x: x) -> tuple[int, int]:
+def _tally(got: list, want: list) -> tuple[int, int]:
     """(checked, failures) of one level's position lists: the union of their
-    positions j plus one, and one failure per position in just one of them
+    positions plus one, and one failure per position in just one of them
     plus one for the level when they differ."""
     if got == want:
         return len(want) + 1, 0
-    a, b = {j(x) for x in got}, {j(x) for x in want}
+    a, b = set(got), set(want)
     return len(a | b) + 1, len(a ^ b) + 1
 
 

@@ -28,10 +28,9 @@ from beattymatch import (
     mismatch_window,
     mismatches_between,
     recover_k,
-    shifted_floors,
 )
 from beattymatch import beatty
-from beattymatch.beatty import _bracket, _last_index
+from beattymatch.beatty import _bracket, index_range
 from beattymatch.units import QuadraticUnit
 
 from conftest import unit_grid
@@ -271,7 +270,8 @@ def test_index_bracket_equals_membership(u, i, lo, span):
     t = TABLES[u]
     hi = lo + span
     want = sum(is_mismatch(u, t, i, j) for j in range(lo, hi + 1))
-    assert _last_index(u, t, i, hi) - _last_index(u, t, i, lo - 1) == want
+    ks = index_range(u, t, i, lo, hi)
+    assert ks.stop - ks.start == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,7 +285,8 @@ def test_mismatches_between_at_convergent_denominators(u, i, n, sign, delta, hal
     lo, hi = centre - half, centre + half
     want = [j for j in range(lo, hi + 1) if is_mismatch(u, t, i, j)]
     assert [r.j for r in mismatches_between(u, t, i, lo, hi)] == want
-    assert _last_index(u, t, i, hi) - _last_index(u, t, i, lo - 1) == len(want)
+    ks = index_range(u, t, i, lo, hi)
+    assert ks.stop - ks.start == len(want)
 
 
 def test_frequency_count_has_bounded_remainder(units):
@@ -365,7 +366,6 @@ LEVEL_ROUTINES = [
     (discrepancy, (0,)),
     (is_mismatch, (0,)),
     (beatty.mismatch_threshold, ()),
-    (shifted_floors, (GOLDEN_WINDOW, 7)),
     (mismatch_window, (GOLDEN_WINDOW,)),
     (mismatch_set, (0, 2)),
     (beatty.index_range, (-5, 5)),
@@ -474,25 +474,10 @@ def test_mismatch_window_at_exact_thresholds(monkeypatch):
                 base = floor_window(u, j0, count)
                 js = range(j0, j0 + count)
                 assert _members(u, t, i, base) == [o for o, j in enumerate(js) if exact(u, t, i, j)], (u, i, j0)
-                diffs = [s - b - t[i - 1] for s, b in zip(shifted_floors(u, t, i, base, count), base.floors)]
+                shifted = floor_window(u, j0 + t[i], count)
+                diffs = [s - b - t[i - 1] for s, b in zip(shifted.floors, base.floors)]
                 assert diffs == [discrepancy(u, t, i, j) for j in js], (u, i, j0)
             assert fallbacks.count(-t[i]) == 3, (u, i, fallbacks)
-
-
-def test_shifted_floors_slice_a_window_that_reaches(monkeypatch):
-    # a window that reaches j + G_i gives the shifted floors as a slice, with
-    # no floor_mul; one point shorter, they come from a window of their own
-    calls = _counting_floor_mul(monkeypatch)
-    for u in UNITS:
-        t = TABLES[u]
-        for i in range(1, 9):
-            for j0, count in ((-7, 15), (-t[i], 4), (t[i] - 3, 6)):
-                want = [u.floor_mul(j + t[i]) for j in range(j0, j0 + count)]
-                for extra, cost in ((0, 0), (-1, 3)):
-                    window = floor_window(u, j0, count + t[i] + extra)
-                    del calls[:]
-                    assert shifted_floors(u, t, i, window, count) == want, (u, i, j0, extra)
-                    assert len(calls) == cost, (u, i, j0, extra, calls)
 
 
 def _closed_form_position(u, t, i, k):
@@ -532,7 +517,7 @@ def test_mismatch_set_at_convergent_denominators(monkeypatch):
 def test_inverse_lookups_cost_two_floors_per_end(monkeypatch):
     # one ceil of beta**i*x and one j(c) settle each end of a window, at
     # random x and at x = +-G_n + delta (delta = -1, 0, 1 in turn), where
-    # x*beta is closest to an integer
+    # x*beta is closest to an integer: index_range(x, x) has two ends
     calls = _counting_floor_mul(monkeypatch)
     rng = random.Random(17)
     xs = [rng.randrange(-10**30, 10**30) for _ in range(40)]
@@ -543,8 +528,8 @@ def test_inverse_lookups_cost_two_floors_per_end(monkeypatch):
         for i in range(1, 13):
             for x in points:
                 del calls[:]
-                _last_index(u, t, i, x)
-                costs.add(("last", len(calls)))
+                index_range(u, t, i, x, x)
+                costs.add(("range", len(calls)))
                 del calls[:]
                 try:
                     recover_k(u, t, i, x)
@@ -554,7 +539,7 @@ def test_inverse_lookups_cost_two_floors_per_end(monkeypatch):
                 del calls[:]
                 frequency_scan(u, t, i, abs(x))
                 costs.add(("scan", len(calls)))
-        assert costs == {("last", 2), ("recover", 2), ("scan", 4)}, (u, costs)
+        assert costs == {("range", 4), ("recover", 2), ("scan", 4)}, (u, costs)
 
 
 CEIL_UNITS = [make_unit("a", m) for m in (1, 2, 3, 7)] + [make_unit("b", m) for m in (3, 4, 5, 9)]
@@ -601,7 +586,8 @@ def test_window_kernel_at_random_anchors(u, i, j0, count):
     base = floor_window(u, j0, count)
     _check_window(u, base, count)
     js = range(j0, j0 + count)
-    diffs = [s - b - t[i - 1] for s, b in zip(shifted_floors(u, t, i, base, count), base.floors)]
+    shifted = floor_window(u, j0 + t[i], count)
+    diffs = [s - b - t[i - 1] for s, b in zip(shifted.floors, base.floors)]
     assert diffs == [discrepancy(u, t, i, j) for j in js]
     assert _members(u, t, i, base) == [o for o, j in enumerate(js) if is_mismatch(u, t, i, j)]
 

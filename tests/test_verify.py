@@ -209,6 +209,26 @@ def test_window_suites_at_level_seams():
             assert [[r.checked, r.failures] for r in results] == [law, crit, sets], (u, w)
 
 
+def test_level_windows_slice_the_shared_window_that_reaches(monkeypatch):
+    # each unit builds one shared floor window; a level takes its shifted
+    # floors as a slice of it when G_i <= 2W, and otherwise builds a window
+    # of its own at G_i - W, and either way its differences are the
+    # pointwise discrepancy
+    builds = []
+    plain = beatty.floor_window
+    monkeypatch.setattr(beatty, "floor_window", lambda u, j0, count: builds.append(j0) or plain(u, j0, count))
+    for u in default_units():
+        tables = {u: GFib.for_level(u, 12)}
+        t = tables[u]
+        for w in _seam_windows(t):
+            js = range(-w, w + 1)
+            del builds[:]
+            levels = list(verify._level_windows([u], tables, 8, w))
+            assert builds == [-w] + [t[i] - w for i in range(1, 9) if t[i] > 2 * w], (u, w, builds)
+            for _, _, i, _, drop, d in levels:
+                assert [x - drop for x in d] == [discrepancy(u, t, i, j) for j in js], (u, w, i)
+
+
 # one unit of family a at window 29, which is a level-2 and level-4 mismatch
 PIN_UNIT, PIN_WINDOW, PIN_LEVELS = make_unit("a", 2), 29, 4
 
@@ -288,3 +308,23 @@ def test_report_marks_failures():
     text = render_report(results)
     assert "FAIL" in text
     assert text.strip().endswith("overall: FAIL")
+
+
+DEFAULT_REPORT = """\
+suite                       checked  failures  status
+range-law                   1440072         0  PASS
+criterion-equivalence       1440072         0  PASS
+set-equivalence               80111         0  PASS
+frequency                        72         0  PASS  max-remainder=0.881
+power-identities                360         0  PASS
+unit-interval                  2406         0  PASS
+sigma-identities              53764         0  PASS
+level-bridge                   1682         0  PASS
+overall: PASS
+"""
+
+
+def test_default_report_is_pinned():
+    # the default verify report, byte for byte: a change that moves any
+    # suite's counts or note, or the layout, shows here
+    assert render_report(run_suites()) == DEFAULT_REPORT
