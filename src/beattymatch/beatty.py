@@ -23,6 +23,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .gfib import GFib
 from .units import InvariantError, QuadraticUnit, ZBeta, beta_pow, mismatch_epsilon
 
+# j per floor window of a floor stream, and rows per block of a streamed CLI document
+BLOCK_ROWS = 1 << 12
+
 
 class NotAMismatch(ValueError):
     """Inverse lookup requested for a position that matches."""
@@ -52,7 +55,7 @@ class ScanSummary:
 
     def __post_init__(self) -> None:
         if not 0 <= self.frequency.numerator <= self.frequency.denominator:
-            raise ValueError(f"frequency {self.frequency} outside [0, 1]")
+            raise InvariantError(f"frequency {self.frequency} outside [0, 1]")
 
 
 def mismatch_threshold(unit: QuadraticUnit, table: GFib, i: int) -> ZBeta:
@@ -77,7 +80,10 @@ def discrepancy(unit: QuadraticUnit, table: GFib, i: int, j: int) -> int:
 
 def is_mismatch(unit: QuadraticUnit, table: GFib, i: int, j: int) -> bool:
     """Exact membership test, decided on the fractional part of j*beta
-    against :func:`mismatch_threshold` without evaluating the discrepancy.
+    against :func:`mismatch_threshold`, whose beta-coordinate is -G_i: it reads
+    floor(j*beta) and floor((j + G_i)*beta), the floors :func:`discrepancy`
+    reads, so the criterion-equivalence suite's independent route is the
+    certified brackets of :func:`mismatch_window`.
     """
     t = mismatch_threshold(unit, table, i)
     # frac(j*beta) < t iff j*beta - floor(j*beta) - t < 0
@@ -125,7 +131,8 @@ def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
     |beta - beta'| = sqrt(D) gives |p - j*beta| > 1/(1 + |j|*sqrt(D)) whenever
     it is below 1.  So floor(j*beta) = q and frac(j*beta)*2**K lies in [r, r + t + 1);
     at j = 0 (from a negative anchor) x_t = 0 and both are 0.  The first floor
-    is exact (A >> K); the last is checked against floor_mul.
+    is exact (A >> K); at the last j, F = floor(x_t) from floor_mul is checked
+    to lie in the sum's bracket [S_t, S_t + t] and to give the last floor, F >> K.
     """
     if count < 0:
         raise ValueError(f"window length must be >= 0, got {count}")
@@ -136,9 +143,29 @@ def floor_window(unit: QuadraticUnit, j0: int, count: int) -> FloorWindow:
     floors = [s >> bits for s in sums]
     if j0 < 0 <= last:
         floors[-j0] = 0
-    if count and floors[-1] != unit.floor_mul(last):
-        raise InvariantError(f"{unit}: the window's floor of {last}*beta, {floors[-1]}, is not floor_mul's")
+    if count:
+        exact = unit.floor_mul(last << bits)
+        if not 0 <= exact - sums[-1] < count or floors[-1] != exact >> bits:
+            raise InvariantError(f"{unit}: the window's sum {sums[-1]} and floor {floors[-1]} at {last}*beta "
+                                 f"disagree with floor_mul's {exact} at 2**{bits} times it")
     return FloorWindow(j0, bits, floors, sums)
+
+
+def _floor_stream(unit: QuadraticUnit, js: range) -> Iterator[int]:
+    """floor(j*beta) for j in js (step +1 or -1), in the order of js, from one
+    :func:`floor_window` per block of BLOCK_ROWS j, built as the stream reaches
+    it; a block of step -1 reads its window backwards.  The blocks are slices
+    of js, so a range longer than sys.maxsize streams too, and they are
+    chained, so no Python frame runs per floor."""
+
+    def blocks() -> Iterator[Iterable[int]]:
+        at = 0
+        while block := js[at:at + BLOCK_ROWS]:
+            floors = floor_window(unit, min(block[0], block[-1]), len(block)).floors
+            yield floors if block.step > 0 else reversed(floors)
+            at += BLOCK_ROWS
+
+    return chain.from_iterable(blocks())
 
 
 def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow) -> list[int]:
@@ -209,16 +236,15 @@ def _mismatch_column(
     unit: QuadraticUnit, table: GFib, i: int, ks: range, special: object
 ) -> tuple[int, Iterator[int], Iterable]:
     """eps_i, the positions j(k) of :func:`_position` for k in ks, in order,
-    with floor(s*k*beta) from one :func:`floor_window`, anchored at -max(ks)
-    and read backwards when s = -1, and the k column: ks, with ``special`` in
-    place of k = 0 when s = -1, where j(0) = -G_i is the extra element of
-    family a at odd i."""
+    with floor(s*k*beta) from :func:`_floor_stream` over s*ks, and the k
+    column: ks, with ``special`` in place of k = 0 when s = -1, where
+    j(0) = -G_i is the extra element of family a at odd i."""
     s, pos, _ = _position(unit, table, i)
-    floors = floor_window(unit, ks.start if s > 0 else 1 - ks.stop, len(ks)).floors
     column: Iterable = ks
     if s < 0 and 0 in ks:
         column = chain(range(ks.start, 0), [special], range(1, ks.stop))
-    return mismatch_epsilon(unit, i), map(pos, ks, floors if s > 0 else reversed(floors)), column
+    floors = _floor_stream(unit, range(s * ks.start, s * ks.stop, s))
+    return mismatch_epsilon(unit, i), map(pos, ks, floors), column
 
 
 def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int) -> list[MismatchRecord]:

@@ -8,13 +8,14 @@ output.  Exit codes: 0 success, 1 usage error, 2 verification failure
 or a failed internal check, 3 output I/O error (including a reader that
 closed the pipe).
 
-Every argument is checked before the first byte goes out.  The
-documents are then written in blocks of at most BLOCK_ROWS rows, each
-drawn from one certified floor window, so none is held in memory whole;
-a block is a stream of plain tuples from the library, written with one
-``%`` format.  ``--out`` goes to a temporary file that is renamed into
-place.  The parser is built once per process, on the first call of
-:func:`main`.
+Every argument is checked before the first byte goes out.  Each CSV or
+JSON document is then one stream of plain row tuples, whose floors come
+from the library's one floor stream, a certified floor window per
+BLOCK_ROWS j; the writer cuts the rows into blocks of BLOCK_ROWS and
+writes each with one ``%`` format, so no document, and no b-column of a
+``cut`` however wide, is held in memory whole.  ``--out`` goes to a
+temporary file that is renamed into place.  The parser is built once per
+process, on the first call of :func:`main`.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import re
 import shutil
 import sys
 from bisect import bisect_left, bisect_right
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import verify
-from .beatty import _mismatch_column, floor_window, frequency_scan, index_range
+from .beatty import BLOCK_ROWS, _floor_stream, _mismatch_column, frequency_scan, index_range
 from .cutproject import Window, _cut_rows
 from .gfib import MAX_TABLE_BITS, GFib
 from .units import InvariantError, QuadraticUnit, ZBeta, make_unit
@@ -42,13 +43,9 @@ SVG_WIDTH = 800
 SVG_HEIGHT = 600
 SVG_MARGIN = 48
 
-# rows per written block of seq, mismatch and cut
-BLOCK_ROWS = 1 << 14
 # plot refuses more j than this as svg, and more columns x rows than this as ascii
 PLOT_MAX_POINTS = 1 << 18
 PLOT_MAX_CELLS = 1 << 24
-# cut holds one b-column, up to floor(hi - lo) + 1 points, and refuses wider windows
-CUT_MAX_WIDTH = 1 << 17
 
 _ENDPOINT_TERM = r"[+-]?\d+"
 
@@ -127,23 +124,23 @@ def _write_file(chunks: Iterable[str], out: str) -> None:
         raise
 
 
-def _csv_doc(keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
-    """CSV text of the rows, one chunk per block, filled by one ``%`` on the
-    block's values.  Every field is an int or a fixed token without commas,
-    quotes or newlines, so none needs quoting and plain formatting equals
-    csv.writer's output."""
+def _csv_doc(keys: Sequence[str], rows: Iterable[tuple]) -> Iterator[str]:
+    """CSV text of the rows, one chunk per block of BLOCK_ROWS rows, filled by
+    one ``%`` on the block's values.  Every field is an int or a fixed token
+    without commas, quotes or newlines, so none needs quoting and plain
+    formatting equals csv.writer's output."""
     yield ",".join(keys) + "\n"
     line = ",".join(["%s"] * len(keys)) + "\n"
-    for block in blocks:
-        values = tuple(chain.from_iterable(block))
+    rows = iter(rows)
+    while values := tuple(chain.from_iterable(islice(rows, BLOCK_ROWS))):
         yield line * (len(values) // len(keys)) % values
 
 
-def _json_doc(config: dict, keys: Sequence[str], blocks: Iterable[Iterable[tuple]]) -> Iterator[str]:
+def _json_doc(config: dict, keys: Sequence[str], rows: Iterable[tuple]) -> Iterator[str]:
     """The text of json.dumps({"config": config, "rows": rows}, indent=2,
-    sort_keys=True) + newline, one chunk per block, where each row maps
-    ``keys`` to the JSON tokens of one tuple (ints, null, or already
-    encoded strings and floats).  A block is one ``%`` on its values,
+    sort_keys=True) + newline, one chunk per block of BLOCK_ROWS rows, where
+    each row maps ``keys`` to the JSON tokens of one tuple (ints, null, or
+    already encoded strings and floats).  A block is one ``%`` on its values,
     taken in sorted-key order, into copies of one row template: with
     ``indent`` set, json.dumps runs its pure-Python encoder, several times
     slower."""
@@ -153,44 +150,32 @@ def _json_doc(config: dict, keys: Sequence[str], blocks: Iterable[Iterable[tuple
     row = "    {\n" + ",\n".join(f"      {key}: %s" for key in fields) + "\n    }"
     # keys already sorted need no reordering; itemgetter of one index would not give a tuple
     pick = None if order == list(range(len(keys))) else itemgetter(*order)
+    rows = iter(rows if pick is None else map(pick, rows))
     yield head
     sep = "[\n"
-    for block in blocks:
-        values = tuple(chain.from_iterable(block if pick is None else map(pick, block)))
-        if values:
-            yield (sep + ",\n".join(repeat(row, len(values) // len(keys)))) % values
-            sep = ",\n"
+    while values := tuple(chain.from_iterable(islice(rows, BLOCK_ROWS))):
+        yield (sep + ",\n".join(repeat(row, len(values) // len(keys)))) % values
+        sep = ",\n"
     yield ("[]" if sep == "[\n" else "\n  ]") + tail + "\n"
 
 
-def _document(args: argparse.Namespace, keys: Sequence[str], blocks: Iterable[Iterable[tuple]], **fields) -> int:
+def _document(args: argparse.Namespace, keys: Sequence[str], rows: Iterable[tuple], **fields) -> int:
     """Write the rows as the CSV or JSON document of ``--format`` to ``--out``.
     The JSON config holds the command, unit and format of ``args`` and the
     command's own ``fields``."""
     if args.format == "json":
         config = {"command": args.command, "family": args.family, "m": args.m, "format": args.format, **fields}
-        return _emit(_json_doc(config, keys, blocks), args.out)
-    return _emit(_csv_doc(keys, blocks), args.out)
+        return _emit(_json_doc(config, keys, rows), args.out)
+    return _emit(_csv_doc(keys, rows), args.out)
 
 
 # ---------------------------------------------------------------- commands
 
 
-def _seq_blocks(unit: QuadraticUnit, j_lo: int, j_hi: int) -> Iterator[Iterable[tuple]]:
-    for j0 in range(j_lo, j_hi + 1, BLOCK_ROWS):
-        floors = floor_window(unit, j0, min(BLOCK_ROWS, j_hi + 1 - j0)).floors
-        yield zip(range(j0, j0 + len(floors)), floors)
-
-
 def cmd_seq(args: argparse.Namespace) -> int:
-    blocks = _seq_blocks(make_unit(args.family, args.m), args.j_lo, args.j_hi)
-    return _document(args, ("j", "floor"), blocks, **{"from": args.j_lo, "to": args.j_hi})
-
-
-def _mismatch_blocks(unit: QuadraticUnit, table: GFib, i: int, ks: range, special: str) -> Iterator[Iterable[tuple]]:
-    for k0 in range(ks.start, ks.stop, BLOCK_ROWS):
-        eps, js, column = _mismatch_column(unit, table, i, range(k0, min(k0 + BLOCK_ROWS, ks.stop)), special)
-        yield zip(js, column, repeat(eps))
+    js = range(args.j_lo, args.j_hi + 1)
+    rows = zip(js, _floor_stream(make_unit(args.family, args.m), js))
+    return _document(args, ("j", "floor"), rows, **{"from": args.j_lo, "to": args.j_hi})
 
 
 def cmd_mismatch(args: argparse.Namespace) -> int:
@@ -206,9 +191,8 @@ def cmd_mismatch(args: argparse.Namespace) -> int:
         # j(k) increases with k, so clipping to the j-window clips the index range
         ks = range(max(ks.start, args.k_lo), min(ks.stop, args.k_hi + 1))
         fields.update(k_from=args.k_lo, k_to=args.k_hi)
-    special = "null" if args.format == "json" else "special"
-    blocks = _mismatch_blocks(unit, table, args.i, ks, special)
-    return _document(args, ("j", "k", "epsilon"), blocks, **fields)
+    eps, js, column = _mismatch_column(unit, table, args.i, ks, "null" if args.format == "json" else "special")
+    return _document(args, ("j", "k", "epsilon"), zip(js, column, repeat(eps)), **fields)
 
 
 def cmd_freq(args: argparse.Namespace) -> int:
@@ -223,26 +207,15 @@ def cmd_freq(args: argparse.Namespace) -> int:
         tokens = (exact, f"{decimal:.10f}", f"{summary.target:.10f}")
     keys = ("i", "n", "count", "total", "frequency", "frequency_decimal", "target")
     row = (summary.i, args.n, summary.mismatch_count, total, *tokens)
-    return _document(args, keys, [[row]], i=args.i, n=args.n)
-
-
-def _cut_blocks(unit: QuadraticUnit, window: Window, width: int, b_lo: int, b_hi: int) -> Iterator[Iterable[tuple]]:
-    # one b holds width - 1 or width points
-    step = max(1, BLOCK_ROWS // width)
-    for b0 in range(b_lo, b_hi + 1, step):
-        yield _cut_rows(unit, window, b0, min(b0 + step - 1, b_hi))
+    return _document(args, keys, [row], i=args.i, n=args.n)
 
 
 def cmd_cut(args: argparse.Namespace) -> int:
     unit = make_unit(args.family, args.m)
     lo = parse_endpoint(args.lo, unit)
     hi = parse_endpoint(args.hi, unit)
-    window = Window(lo, hi)
-    width = (hi - lo).floor() + 1
-    if width > CUT_MAX_WIDTH:
-        raise UsageError(f"a cut window of up to {width} points per b exceeds the cap of {CUT_MAX_WIDTH}")
-    blocks = _cut_blocks(unit, window, width, args.b_lo, args.b_hi)
-    return _document(args, ("a", "b"), blocks, lo=str(lo), hi=str(hi), **{"from": args.b_lo, "to": args.b_hi})
+    rows = _cut_rows(unit, Window(lo, hi), args.b_lo, args.b_hi)
+    return _document(args, ("a", "b"), rows, lo=str(lo), hi=str(hi), **{"from": args.b_lo, "to": args.b_hi})
 
 
 # ---------------------------------------------------------------- plotting
@@ -336,8 +309,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         if count * lines > PLOT_MAX_CELLS:
             raise UsageError(f"an ascii plot of {count} columns x {lines} rows exceeds the cap "
                              f"of {PLOT_MAX_CELLS} cells")
-    main = floor_window(unit, j_lo, count).floors
-    overlay = [f - drop for f in floor_window(unit, j_lo + shift, count).floors]
+    main = list(_floor_stream(unit, range(j_lo, j_hi + 1)))
+    overlay = [f - drop for f in _floor_stream(unit, range(j_lo + shift, j_hi + 1 + shift))]
     marks = [j for j, f, g in zip(range(j_lo, j_hi + 1), main, overlay) if f != g]
     if args.format == "ascii":
         doc = render_ascii(j_lo, main, overlay, marks)
@@ -422,11 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_freq, ("csv", "json"))
     p_freq.set_defaults(handler=cmd_freq)
 
-    p_cut = sub.add_parser(
-        "cut", help="cut-and-project points for a window",
-        description=f"Cut-and-project points a + b*beta in [lo, hi).  Refused (exit 1): a window with "
-                    f"floor(hi - lo) + 1 > {CUT_MAX_WIDTH}, the most points one b may hold.",
-    )
+    p_cut = sub.add_parser("cut", help="cut-and-project points for a window",
+                           description="Cut-and-project points a + b*beta in [lo, hi).")
     _add_unit_flags(p_cut)
     p_cut.add_argument("--lo", default="0", help="window low endpoint, e.g. '0' or '1+(-1)*beta'")
     p_cut.add_argument("--hi", default="1", help="window high endpoint (exclusive)")

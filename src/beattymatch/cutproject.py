@@ -14,7 +14,7 @@ from itertools import chain, repeat
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
-from .beatty import floor_window
+from .beatty import _floor_stream
 from .units import QuadraticUnit, UnitMismatch, ZBeta
 
 
@@ -57,14 +57,15 @@ def _cut_rows(unit: QuadraticUnit, window: Window, b_lo: int, b_hi: int) -> Iter
     The integers a with lo - b*beta <= a < hi - b*beta run from
     ceil(lo - b*beta) = lo.a - floor((b - lo.b)*beta) up to
     hi.a - floor((b - hi.b)*beta), exclusive; both floors come from one
-    :func:`floor_window` per endpoint.
+    :func:`_floor_stream` per endpoint, and one b's run of a is a range, so
+    no b-column is held in memory, however wide the window.
     """
     if window.unit != unit:
         raise UnitMismatch("window belongs to a different unit")
     lo, hi = window.lo, window.hi
     bs = range(b_lo, b_hi + 1)
-    starts = map(sub, repeat(lo.a), floor_window(unit, b_lo - lo.b, len(bs)).floors)
-    stops = map(sub, repeat(hi.a), floor_window(unit, b_lo - hi.b, len(bs)).floors)
+    starts = map(sub, repeat(lo.a), _floor_stream(unit, range(b_lo - lo.b, b_hi + 1 - lo.b)))
+    stops = map(sub, repeat(hi.a), _floor_stream(unit, range(b_lo - hi.b, b_hi + 1 - hi.b)))
     return chain.from_iterable(map(zip, map(range, starts, stops), map(repeat, bs)))
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from beattymatch import (
     Family,
     GFib,
+    InvariantError,
     NotAMismatch,
     ScanSummary,
     UnitMismatch,
@@ -251,8 +252,9 @@ def test_scan_summary_frequency_bounds():
     # the [0, 1] check runs on the Fraction's integers; its denominator is positive
     for f in (Fraction(0), Fraction(1)):
         assert ScanSummary(1, (0, 0), f.numerator, f, 0.5).frequency == f
+    # outside it the count is wrong, a failed internal check (still a ValueError)
     for f in (Fraction(-1, 3), Fraction(4, 3)):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             ScanSummary(1, (-1, 1), f.numerator, f, 0.5)
 
 
@@ -431,6 +433,17 @@ def test_floor_window_at_convergent_denominators(monkeypatch):
             _check_window(u, w, width)
             assert w.floors == [_mp_floor(u, j) for j in range(j0, j0 + width)], (u, j0)
         assert costs == {3}, (u, costs)
+
+
+def test_floor_window_refuses_a_drifting_step(monkeypatch):
+    # a step one too large moves the t-th sum up by t; the last floor alone
+    # rarely sees it at this precision, the sum bracket at the last j does
+    plain = QuadraticUnit.floor_mul
+    # the step is floor_mul(1 << bits), the one power of two among the window's arguments
+    monkeypatch.setattr(QuadraticUnit, "floor_mul", lambda self, j: plain(self, j) + (j > 0 and j & (j - 1) == 0))
+    for u in UNITS:
+        with pytest.raises(InvariantError, match="disagree with floor_mul"):
+            floor_window(u, 3, 100)
 
 
 def test_floor_window_edges():

@@ -13,9 +13,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from beattymatch import GFib, InvariantError, ZBeta, beta_pow, brute_force_mismatches, make_unit, mismatch_set, recover_k
-from beattymatch import cli
-from beattymatch.cli import BLOCK_ROWS, CUT_MAX_WIDTH, PLOT_MAX_CELLS, PLOT_MAX_POINTS, main, parse_endpoint
+from beattymatch import (GFib, InvariantError, ZBeta, beta_pow, brute_force_mismatches, frequency_scan, make_unit,
+                         mismatch_set, recover_k)
+from beattymatch import beatty, cli
+from beattymatch.cli import BLOCK_ROWS, PLOT_MAX_CELLS, PLOT_MAX_POINTS, main, parse_endpoint
 from beattymatch.gfib import MAX_TABLE_BITS
 from beattymatch.verify import MAX_B_SPAN, MAX_WINDOW, SUITES
 
@@ -197,6 +198,14 @@ def test_freq_rejects_negative_n(capsys):
     code, _, err = run_cli(capsys, "freq", "--n", "-5")
     assert code == 1
     assert "error" in err
+
+
+def test_freq_count_fault_exits_two(capsys, monkeypatch):
+    # a count outside [0, 2n + 1] is a failed internal check, not a refused argument
+    monkeypatch.setattr(beatty, "index_range", lambda *args: range(5, 2))
+    code, out, err = run_cli(capsys, "freq", "--n", "10")
+    assert (code, out) == (2, "")
+    assert "internal check failed" in err and "outside [0, 1]" in err
 
 
 # ---------------------------------------------------------------- cut
@@ -490,29 +499,44 @@ def test_emitters_equal_json_dumps_and_csv_writer(rows):
     keys = ("j", "k", "epsilon")
     config = {"command": "mismatch", "family": "a", "from": -BIG, "to": BIG, "k_from": None}
 
-    def splits(special, encode):
-        """The rows as tokens, split as the commands may yield them: with an
-        empty block among them, one row per block, and as one block of
+    def inputs(special, encode):
+        """The rows as tokens, given as the commands may give them: a list, and
         columns zipped, which can be read only once."""
         tokens = [tuple(special if v is None else encode(v) if isinstance(v, str) else v for v in r) for r in rows]
-        yield [tokens[:1], [], tokens[1:]]
-        yield [[r] for r in tokens]
-        yield [zip(*[[r[c] for r in tokens] for c in range(len(keys))])]
+        yield tokens
+        yield zip(*[[r[c] for r in tokens] for c in range(len(keys))])
 
     want_json = json_oracle(config, [dict(zip(keys, r)) for r in rows])
-    for blocks in splits("null", json.dumps):
-        assert "".join(cli._json_doc(config, keys, blocks)) == want_json
+    for given in inputs("null", json.dumps):
+        assert "".join(cli._json_doc(config, keys, given)) == want_json
     want_csv = csv_oracle(keys, [["special" if v is None else v for v in r] for r in rows])
-    for blocks in splits("special", str):
-        assert "".join(cli._csv_doc(keys, blocks)) == want_csv
+    for given in inputs("special", str):
+        assert "".join(cli._csv_doc(keys, given)) == want_csv
+
+
+@pytest.mark.parametrize("count", (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3),
+                         ids=("short", "full", "full-plus-one", "three-blocks"))
+def test_emitters_cut_rows_into_blocks(count):
+    # one chunk per started block of BLOCK_ROWS rows, between the head and the tail
+    keys = ("j", "k")
+    rows = [(j, -j) for j in range(count)]
+    blocks = -(-count // BLOCK_ROWS)
+    chunks = list(cli._csv_doc(keys, iter(rows)))
+    assert len(chunks) == 1 + blocks
+    assert [c.count("\n") for c in chunks[1:]] == [min(BLOCK_ROWS, count - b * BLOCK_ROWS) for b in range(blocks)]
+    assert "".join(chunks) == csv_oracle(keys, rows)
+    config = {"command": "seq"}
+    chunks = list(cli._json_doc(config, keys, iter(rows)))
+    assert len(chunks) == 2 + blocks
+    assert "".join(chunks) == json_oracle(config, [dict(zip(keys, r)) for r in rows])
 
 
 def test_emitters_take_keys_and_config_with_percent_signs():
     keys = ("%s", "a%")
     config = {"command": "freq", "note": "100%s"}
-    got_json = "".join(cli._json_doc(config, keys, [[(1, 2)], [(-3, 4)]]))
+    got_json = "".join(cli._json_doc(config, keys, [(1, 2), (-3, 4)]))
     assert got_json == json_oracle(config, [{"%s": 1, "a%": 2}, {"%s": -3, "a%": 4}])
-    assert "".join(cli._csv_doc(keys, [[(1, 2)], [(-3, 4)]])) == csv_oracle(keys, [(1, 2), (-3, 4)])
+    assert "".join(cli._csv_doc(keys, [(1, 2), (-3, 4)])) == csv_oracle(keys, [(1, 2), (-3, 4)])
 
 
 @pytest.mark.parametrize("extra", (-1, 0, 1))
@@ -572,12 +596,13 @@ def test_mismatch_k_range_clipped_to_window(capsys):
 
 
 def test_cut_blocks_equal_pointwise_route(capsys):
-    # four points per b, so a block holds BLOCK_ROWS // 4 values of b; the
-    # range spans three blocks around the convergent denominator G_120
+    # three or four points per b, so the written blocks cut the range four
+    # times; the floor streams cut it once per BLOCK_ROWS values of b, just
+    # before the convergent denominator G_120
     unit = make_unit("b", 4)
     lo, hi = unit.element(0, -1), unit.element(3, 0)
     centre = GFib.build(unit, 122)[120]
-    b_lo, b_hi = centre - BLOCK_ROWS // 4, centre + BLOCK_ROWS // 4 + 3
+    b_lo, b_hi = centre - BLOCK_ROWS - 2, centre + BLOCK_ROWS // 4 + 3
     rows = [(a, b) for b in range(b_lo, b_hi + 1)
             for a in range(ZBeta(0, -1 - b, unit).ceil(), ZBeta(3, -b, unit).ceil())]
     args = ("cut", "--family", "b", "--m", "4", "--lo=-1*beta", "--hi", "3", f"--from={b_lo}", f"--to={b_hi}")
@@ -651,21 +676,23 @@ def test_plot_help_names_the_caps(capsys):
     assert str(PLOT_MAX_POINTS) in out and str(PLOT_MAX_CELLS) in out
 
 
-def test_cut_width_cap(capsys, tmp_path):
-    # floor(hi - lo) + 1 == CUT_MAX_WIDTH is the widest legal window
-    code, out, _ = run_cli(capsys, "cut", "--hi", str(CUT_MAX_WIDTH - 1), "--from", "0", "--to", "0")
+def test_cut_wider_than_a_block(capsys):
+    # each b holds about 2*BLOCK_ROWS + 5 points, so every b-column is cut
+    # across written blocks, at seams that fall elsewhere in each column
+    unit = make_unit("a", 1)
+    lo, hi = unit.element(0, -1), unit.element(2 * BLOCK_ROWS + 5, 2)
+    rows = [(a, b) for b in range(-2, 3)
+            for a in range(ZBeta(0, -1 - b, unit).ceil(), ZBeta(2 * BLOCK_ROWS + 5, 2 - b, unit).ceil())]
+    assert len(rows) > 5 * 2 * BLOCK_ROWS
+    args = ("cut", "--lo=-1*beta", f"--hi={2 * BLOCK_ROWS + 5}+2*beta", "--from=-2", "--to", "2")
+    code, out, _ = run_cli(capsys, *args)
     assert code == 0
-    header, rows = parse_csv(out)
-    assert header == ["a", "b"]
-    assert rows == [[str(a), "0"] for a in range(CUT_MAX_WIDTH - 1)]
-    code, out, err = run_cli(capsys, "cut", "--hi", str(CUT_MAX_WIDTH), "--from", "0", "--to", "0")
-    assert (code, out) == (1, "")
-    assert str(CUT_MAX_WIDTH) in err
-    target = tmp_path / "cut.out"
-    assert run_cli(capsys, "cut", "--hi", "1000000000", "--out", str(target))[0] == 1
-    assert not target.exists()
-    code, out, _ = run_cli(capsys, "cut", "--help")
-    assert code == 0 and str(CUT_MAX_WIDTH) in out
+    assert out == csv_oracle(("a", "b"), rows)
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    config = {"command": "cut", "family": "a", "m": 1, "lo": str(lo), "hi": str(hi),
+              "from": -2, "to": 2, "format": "json"}
+    assert out == json_oracle(config, [{"a": a, "b": b} for a, b in rows])
 
 
 def test_verify_refuses_levels_below_one(capsys):
@@ -714,7 +741,7 @@ def test_verify_and_table_caps(capsys, tmp_path):
 
 
 def _fail_on_second_block(monkeypatch, exc):
-    plain = cli.floor_window
+    plain = beatty.floor_window
     seen = []
 
     def floor_window(unit, j0, count):
@@ -723,7 +750,7 @@ def _fail_on_second_block(monkeypatch, exc):
         seen.append(j0)
         return plain(unit, j0, count)
 
-    monkeypatch.setattr(cli, "floor_window", floor_window)
+    monkeypatch.setattr(beatty, "floor_window", floor_window)
 
 
 @pytest.mark.parametrize("exc, want_code", [(OSError(28, "No space left on device"), 3), (ValueError("bad"), 1),
@@ -806,16 +833,26 @@ def child_peak_rss_mib(*argv):
     return int(proc.stdout) / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
-@pytest.mark.parametrize("argv", [
-    ("seq", "--from", "0", "--to", "2000000"),
-    ("cut", "--lo", "0", "--hi", "20000", "--from", "0", "--to", "20"),
-])
+_FAMILY_A = make_unit("a", 1)
+# argv, and the rows of its document
+STREAMING_RUNS = {
+    ("seq", "--from", "0", "--to", "2000000"): 2_000_001,
+    ("cut", "--lo", "0", "--hi", "20000", "--from", "0", "--to", "20"): 21 * 20_000,
+    # wider than 2**17 points per b, the most a b-column once could hold
+    ("cut", "--lo", "0", "--hi", "300000", "--from", "0", "--to", "2"): 3 * 300_000,
+    # family a at odd i reads its floors backwards (s = -1), over many blocks
+    ("mismatch", "--family", "a", "--i", "1", "--from", "-1000000", "--to", "1000000"):
+        frequency_scan(_FAMILY_A, GFib.build(_FAMILY_A), 1, 1_000_000).mismatch_count,
+}
+
+
+@pytest.mark.parametrize("argv", list(STREAMING_RUNS))
 def test_streaming_keeps_memory_bounded(tmp_path, argv):
     target = tmp_path / "out.csv"
     assert child_peak_rss_mib(*argv, "--out", str(target)) < STREAMING_RSS_MIB
     with target.open("rb") as fh:
         lines = sum(1 for _ in fh)
-    assert lines == (2_000_002 if argv[0] == "seq" else 21 * 20_000 + 1)
+    assert lines == STREAMING_RUNS[argv] + 1
 
 
 def test_closed_pipe_exits_three_quietly():
