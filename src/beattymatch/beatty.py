@@ -43,19 +43,15 @@ class MismatchRecord(NamedTuple):
     epsilon: int
 
 
-@dataclass(frozen=True)
-class ScanSummary:
-    """Outcome of an exact mismatch count over a symmetric window."""
+class ScanSummary(NamedTuple):
+    """Outcome of an exact mismatch count over a symmetric window, as
+    :func:`frequency_scan` returns it with its count checked."""
 
     i: int
     window: tuple[int, int]
     mismatch_count: int
     frequency: Fraction
     target: float  # beta**i, display approximation only
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.frequency.numerator <= self.frequency.denominator:
-            raise InvariantError(f"frequency {self.frequency} outside [0, 1]")
 
 
 def mismatch_threshold(unit: QuadraticUnit, table: GFib, i: int) -> ZBeta:
@@ -194,42 +190,44 @@ def mismatch_window(unit: QuadraticUnit, table: GFib, i: int, base: FloorWindow)
     return members
 
 
-def _position(unit: QuadraticUnit, table: GFib, i: int) -> tuple[int, Callable[[int, int], int], Callable[[int], int]]:
-    """The sign s = (-sigma)**i, the closed form (k, floor(s*k*beta)) |-> j(k) =
-    k*G_{i+1} - eps_i*floor(s*k*beta)*G_i + lo.b of the exceptional positions
-    at level i, lo.b = -G_i when eps_i = +1 and 0 otherwise (the caller supplies
-    the floor), and x |-> ceil(beta**i * x) of :func:`_bracket`.
+def _position(
+    unit: QuadraticUnit, table: GFib, i: int
+) -> tuple[int, Callable[[int, int], int], Callable[[int], tuple[int, int]]]:
+    """The level's one read of the table: the sign s = (-sigma)**i, the closed
+    form (k, floor(s*k*beta)) |-> j(k) = k*G_{i+1} - eps_i*floor(s*k*beta)*G_i
+    + lo.b of the exceptional positions at level i, lo.b = -G_i when eps_i = +1
+    and 0 otherwise (the caller supplies the floor), and the bracket x |-> (c,
+    j(c)), c = ceil(beta**i * x): every k < c has j(k) < x and every k > c has
+    j(k) > x, so j(c) alone settles where x falls in the enumeration.
 
     j(k) is the b-coordinate of lo + beta**i*frac(s*k*beta) for the level's
     window [lo, lo + beta**i), lo = 0 or 1 - beta**i (see
     :func:`mismatch_threshold`).  x |-> lo + beta**i*x maps the points of
     [0, 1) one-to-one onto those of the window, so each mismatch is j(k) for
-    exactly one k, k = 0 included; j(k) increases with k (see :func:`_bracket`).
-    G_{i+1} comes from the recurrence, so the table need only reach G_i.
+    exactly one k, k = 0 included.  G_{i+1} comes from the recurrence, so the
+    table need only reach G_i.  As beta**i = eps_i*(G_i*beta - G_{i-1}),
+    c = -eps_i*G_{i-1}*x - floor(-eps_i*G_i*x*beta), from integers alone.
+
+    Proof of the bracket.  With r = frac(s*k*beta), beta**-i = G_{i+1} +
+    sigma*G_i*beta and eps_i*s = -sigma, beta**i * j(k) = k +
+    beta**i*(eps_i*G_i*r + lo.b) lies in [k - beta**i*G_i, k] for either sign
+    of eps_i, and beta**i*G_i = (1 - (beta/beta')**i)/sqrt(D) < 1.  So k - 1 <
+    beta**i * j(k) <= k, and j(k) increases with k: for k < c, beta**i * j(k)
+    <= k < beta**i * x, and for k > c, beta**i * j(k) > k - 1 >= beta**i * x.
     """
     prev, cur = table.level(unit, i)
     succ = unit.m * cur + unit.sign * prev
     eps = mismatch_epsilon(unit, i)
-    step, lo_b, drop = eps * cur, -cur if eps > 0 else 0, eps * prev
-    return -unit.sign * eps, lambda k, f: k * succ - f * step + lo_b, lambda x: -drop * x - unit.floor_mul(-step * x)
+    s, step, lo_b, drop = -unit.sign * eps, eps * cur, -cur if eps > 0 else 0, eps * prev
 
+    def pos(k: int, f: int) -> int:
+        return k * succ - f * step + lo_b
 
-def _bracket(unit: QuadraticUnit, table: GFib, i: int, x: int) -> tuple[int, int, int]:
-    """The sign s of :func:`_position`, c = ceil(beta**i * x) and j(c): every
-    k < c has j(k) < x and every k > c has j(k) > x, so j(c) alone settles
-    where x falls in the enumeration.  As beta**i = eps_i*(G_i*beta - G_{i-1}),
-    c = -eps_i*G_{i-1}*x - floor(-eps_i*G_i*x*beta), from integers alone.
+    def bracket(x: int) -> tuple[int, int]:
+        c = -drop * x - unit.floor_mul(-step * x)
+        return c, pos(c, unit.floor_mul(s * c))
 
-    Proof.  With r = frac(s*k*beta), beta**-i = G_{i+1} + sigma*G_i*beta and
-    eps_i*s = -sigma, beta**i * j(k) = k + beta**i*(eps_i*G_i*r + lo.b) lies
-    in [k - beta**i*G_i, k] for either sign of eps_i, and beta**i*G_i =
-    (1 - (beta/beta')**i)/sqrt(D) < 1.  So k - 1 < beta**i * j(k) <= k: for
-    k < c, beta**i * j(k) <= k < beta**i * x, and for k > c, beta**i * j(k)
-    > k - 1 >= beta**i * x.
-    """
-    s, pos, ceil_scaled = _position(unit, table, i)
-    c = ceil_scaled(x)
-    return s, c, pos(c, unit.floor_mul(s * c))
+    return s, pos, bracket
 
 
 def _mismatch_column(
@@ -261,11 +259,12 @@ def mismatch_set(unit: QuadraticUnit, table: GFib, i: int, k_lo: int, k_hi: int)
 
 def index_range(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi: int) -> range:
     """The indices k whose closed-form positions lie in [j_lo, j_hi]; empty
-    when the window holds none (or j_lo > j_hi).  With c of :func:`_bracket`
-    at each end, the first is c, or c + 1 when j(c) < j_lo, and the last is
-    c, or c - 1 when j(c) > j_hi."""
-    _, lo, j = _bracket(unit, table, i, j_lo)
-    _, hi, k = _bracket(unit, table, i, j_hi)
+    when the window holds none (or j_lo > j_hi).  With the bracket (c, j(c))
+    of :func:`_position` at each end, the first is c, or c + 1 when j(c) <
+    j_lo, and the last is c, or c - 1 when j(c) > j_hi."""
+    bracket = _position(unit, table, i)[2]
+    lo, j = bracket(j_lo)
+    hi, k = bracket(j_hi)
     return range(lo + (j < j_lo), hi + (k <= j_hi))
 
 
@@ -278,12 +277,13 @@ def mismatches_between(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, j_hi
 
 def recover_k(unit: QuadraticUnit, table: GFib, i: int, j: int) -> Optional[int]:
     """Invert the enumeration: the index k whose closed-form position is j,
-    which is c of :func:`_bracket` exactly when j(c) = j.
+    which is c of the bracket (c, j(c)) of :func:`_position` exactly when j(c) = j.
 
     Returns ``None`` for the extra element -G_i (family a, odd i) and
     raises :class:`NotAMismatch` when j is not exceptional at level i.
     """
-    s, k, got = _bracket(unit, table, i, j)
+    s, _, bracket = _position(unit, table, i)
+    k, got = bracket(j)
     if got != j:
         raise NotAMismatch(f"position {j} matches at level {i}")
     return None if k == 0 and s < 0 else k
@@ -311,16 +311,13 @@ def brute_force_mismatches(unit: QuadraticUnit, table: GFib, i: int, j_lo: int, 
 
 def frequency_scan(unit: QuadraticUnit, table: GFib, i: int, n: int) -> ScanSummary:
     """Exact share of exceptional positions among j in [-n, n]: the length of
-    :func:`index_range`, from four floor evaluations for any n."""
+    :func:`index_range`, from one read of the level and four floor evaluations
+    for any n.  A count outside 0..2n + 1 raises :class:`InvariantError`."""
     if n < 0:
         raise ValueError(f"window radius must be >= 0, got {n}")
     # stop - start, as len() of a range overflows past sys.maxsize
     ks = index_range(unit, table, i, -n, n)
-    count = ks.stop - ks.start
-    return ScanSummary(
-        i=i,
-        window=(-n, n),
-        mismatch_count=count,
-        frequency=Fraction(count, 2 * n + 1),
-        target=unit.beta_approx() ** i,
-    )
+    count, total = ks.stop - ks.start, 2 * n + 1
+    if not 0 <= count <= total:
+        raise InvariantError(f"count {count} of {total} positions puts the frequency outside [0, 1]")
+    return ScanSummary(i, (-n, n), count, Fraction(count, total), unit.beta_approx() ** i)

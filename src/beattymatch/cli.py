@@ -54,6 +54,22 @@ class UsageError(ValueError):
     pass
 
 
+def _max_digits() -> int:
+    """Python's int/str conversion limit in digits (sys.get_int_max_str_digits), 0 where none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _integer(text: str) -> int:
+    """An integer argument; one past the digit limit is refused by name, not echoed."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = _max_digits()
+        if 0 < limit < len(text):
+            raise argparse.ArgumentTypeError(f"longer than {limit} digits, Python's int/str limit") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def parse_endpoint(text: str, unit: QuadraticUnit) -> ZBeta:
     """Parse a window endpoint of the shape "A", "B*beta" or "A+B*beta"
     (spaces and parentheses around B tolerated)."""
@@ -197,8 +213,10 @@ def cmd_mismatch(args: argparse.Namespace) -> int:
 
 def cmd_freq(args: argparse.Namespace) -> int:
     unit = make_unit(args.family, args.m)
+    total, limit = 2 * args.n + 1, _max_digits()
+    if limit and total >= 10**limit:
+        raise UsageError(f"--n: the total 2n + 1 would be longer than {limit} digits, Python's int/str limit")
     summary = frequency_scan(unit, GFib.for_level(unit, args.i), args.i, args.n)
-    total = 2 * args.n + 1
     exact = f"{summary.mismatch_count}/{total}"
     decimal = float(summary.frequency)
     if args.format == "json":
@@ -341,14 +359,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_unit_flags(p: argparse.ArgumentParser, level: bool = False) -> None:
     p.add_argument("--family", choices=("a", "b"), default="a",
                    help="unit family: a solves x^2+mx=1, b solves x^2-mx=-1 (default a)")
-    p.add_argument("--m", type=int, default=1, help="recurrence parameter (default 1)")
+    p.add_argument("--m", type=_integer, default=1, help="recurrence parameter (default 1)")
     if level:
-        p.add_argument("--i", type=int, default=1, help="shift level (default 1)")
+        p.add_argument("--i", type=_integer, default=1, help="shift level (default 1)")
 
 
 def _add_range_flags(p: argparse.ArgumentParser, lo: int, hi: int, what: str, axis: str = "j") -> None:
-    p.add_argument("--from", dest=f"{axis}_lo", type=int, default=lo, help=f"first {what} (default {lo})")
-    p.add_argument("--to", dest=f"{axis}_hi", type=int, default=hi, help=f"last {what} (default {hi})")
+    p.add_argument("--from", dest=f"{axis}_lo", type=_integer, default=lo, help=f"first {what} (default {lo})")
+    p.add_argument("--to", dest=f"{axis}_hi", type=_integer, default=hi, help=f"last {what} (default {hi})")
 
 
 def _add_output_flags(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
@@ -373,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mis = sub.add_parser("mismatch", help="closed-form exceptional positions")
     _add_unit_flags(p_mis, level=True)
     _add_range_flags(p_mis, -20, 20, "position j")
-    p_mis.add_argument("--k-from", dest="k_lo", type=int, default=None, help="explicit low index")
-    p_mis.add_argument("--k-to", dest="k_hi", type=int, default=None, help="explicit high index")
+    p_mis.add_argument("--k-from", dest="k_lo", type=_integer, default=None, help="explicit low index")
+    p_mis.add_argument("--k-to", dest="k_hi", type=_integer, default=None, help="explicit high index")
     _add_output_flags(p_mis, ("csv", "json"))
     p_mis.set_defaults(handler=cmd_mismatch)
 
@@ -391,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_freq = sub.add_parser("freq", help="exact mismatch frequency over [-n, n]")
     _add_unit_flags(p_freq, level=True)
-    p_freq.add_argument("--n", type=int, default=100_000, help="window radius (default 100000)")
+    p_freq.add_argument("--n", type=_integer, default=100_000, help="window radius (default 100000)")
     _add_output_flags(p_freq, ("csv", "json"))
     p_freq.set_defaults(handler=cmd_freq)
 
@@ -412,11 +430,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--suite", dest="suites", action="append", choices=verify.SUITES,
                        default=None, help="run one suite (repeatable; default all)")
-    p_ver.add_argument("--i-max", dest="i_max", type=int, default=verify.DEFAULT_I_MAX)
-    p_ver.add_argument("--window", type=int, default=verify.DEFAULT_WINDOW)
-    p_ver.add_argument("--n", type=int, default=verify.DEFAULT_FREQ_N)
-    p_ver.add_argument("--b-span", dest="b_span", type=int, default=verify.DEFAULT_B_SPAN)
-    p_ver.add_argument("--inject-fault", dest="inject_fault", type=int, default=None,
+    p_ver.add_argument("--i-max", dest="i_max", type=_integer, default=verify.DEFAULT_I_MAX)
+    p_ver.add_argument("--window", type=_integer, default=verify.DEFAULT_WINDOW)
+    p_ver.add_argument("--n", type=_integer, default=verify.DEFAULT_FREQ_N)
+    p_ver.add_argument("--b-span", dest="b_span", type=_integer, default=verify.DEFAULT_B_SPAN)
+    p_ver.add_argument("--inject-fault", dest="inject_fault", type=_integer, default=None,
                        help=argparse.SUPPRESS)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(handler=cmd_verify)

@@ -3,10 +3,11 @@
 Every closed-form claim of the package is paired with an independent
 route: discrepancy scans against value-range and membership criteria,
 predicted position sets against windowed floors, window counts against
-their bounded remainder, power coordinates against folded ring products,
-the cut-and-project identities against direct enumeration, and the
-mismatch sets against the points of a window of length beta**i.  A
-perturbation hook shows that the checks can actually fail.
+their bounded remainder and a telescoped sum of floors, power
+coordinates against folded ring products, the cut-and-project identities
+against direct enumeration, and the mismatch sets against the points of
+a window of length beta**i.  A perturbation hook shows that the checks
+can actually fail.
 """
 
 from __future__ import annotations
@@ -143,11 +144,17 @@ def _suite_set_equivalence(units: Sequence[QuadraticUnit], tables: dict, i_max: 
 
 
 def _suite_frequency(units: Sequence[QuadraticUnit], tables: dict, i_max: int, n: int) -> SuiteResult:
-    """Bounded remainder (Kesten 1966): the count over [-n, n] misses
-    beta**i * (2n + 1) by less than 2, decided by exact sign tests."""
+    """Each count over [-n, n] by two routes.  Bounded remainder (Kesten 1966):
+    it misses beta**i * (2n + 1) by less than 2, decided by exact sign tests.
+    Exact, at every level with G_i <= MAX_WINDOW: the discrepancies over
+    [-n, n] telescope, so eps_i*count = sum(floor(j*beta), n < j <= n + G_i)
+    - sum(floor(j*beta), -n <= j < -n + G_i) - (2n + 1)*G_{i-1}, two floor
+    windows of length G_i for any n.  The note names the levels from which
+    each unit's G_i is too long for the exact route."""
     checked = failures = worst = 0
+    skipped = []
     for u in units:
-        t = tables[u]
+        t, first_long = tables[u], None
         for i in range(1, i_max + 1):
             count = beatty.frequency_scan(u, t, i, n).mismatch_count
             gap = u.element(count, 0) - beta_pow(u, t, i) * (2 * n + 1)
@@ -156,7 +163,19 @@ def _suite_frequency(units: Sequence[QuadraticUnit], tables: dict, i_max: int, n
                 failures += 1
             # the note shows the largest |gap|, floored to 3 decimals
             worst = max(worst, ((gap if gap >= 0 else -gap) * 1000).floor())
-    return SuiteResult("frequency", checked, failures, note=f"max-remainder={worst // 1000}.{worst % 1000:03d}")
+            drop, shift = t.level(u, i)
+            if shift > MAX_WINDOW:
+                first_long = first_long or i
+                continue
+            ahead, behind = beatty.floor_window(u, n + 1, shift), beatty.floor_window(u, -n, shift)
+            checked += 1
+            if sum(ahead.floors) - sum(behind.floors) - (2 * n + 1) * drop != beatty.mismatch_epsilon(u, i) * count:
+                failures += 1
+        if first_long:
+            # G_i never decreases with i, so every later level is too long as well
+            skipped.append(f"{u.family.value}{u.m}:i{first_long}-{i_max}")
+    note = f"max-remainder={worst // 1000}.{worst % 1000:03d} exact-skipped={','.join(skipped) or 'none'}"
+    return SuiteResult("frequency", checked, failures, note=note)
 
 
 def _suite_power_identities(units: Sequence[QuadraticUnit], tables: dict) -> SuiteResult:

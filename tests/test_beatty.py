@@ -31,7 +31,7 @@ from beattymatch import (
     recover_k,
 )
 from beattymatch import beatty
-from beattymatch.beatty import _bracket, index_range
+from beattymatch.beatty import _position, index_range
 from beattymatch.units import QuadraticUnit
 
 from conftest import unit_grid
@@ -248,14 +248,19 @@ def test_frequency_scan_tiny_windows(golden):
         frequency_scan(golden, t, 1, -1)
 
 
-def test_scan_summary_frequency_bounds():
-    # the [0, 1] check runs on the Fraction's integers; its denominator is positive
-    for f in (Fraction(0), Fraction(1)):
-        assert ScanSummary(1, (0, 0), f.numerator, f, 0.5).frequency == f
-    # outside it the count is wrong, a failed internal check (still a ValueError)
-    for f in (Fraction(-1, 3), Fraction(4, 3)):
-        with pytest.raises(InvariantError):
-            ScanSummary(1, (-1, 1), f.numerator, f, 0.5)
+def test_scan_summary_frequency_bounds(monkeypatch, golden):
+    # a count outside 0..2n + 1 puts the frequency outside [0, 1]: a failed
+    # internal check (still a ValueError), raised before any summary is built
+    t = TABLES[UNITS[0]]
+    for ks in (range(5, 2), range(0, 22), range(-1, 21)):
+        monkeypatch.setattr(beatty, "index_range", lambda *args, ks=ks: ks)
+        with pytest.raises(InvariantError, match=r"outside \[0, 1\]"):
+            frequency_scan(golden, t, 1, 10)
+    # both ends of the range are accepted
+    for ks in (range(3, 3), range(0, 21)):
+        monkeypatch.setattr(beatty, "index_range", lambda *args, ks=ks: ks)
+        s = frequency_scan(golden, t, 1, 10)
+        assert s.mismatch_count == len(ks) and s.frequency == Fraction(len(ks), 21)
 
 
 def test_frequency_scan_counts_match_membership(units):
@@ -555,11 +560,45 @@ def test_inverse_lookups_cost_two_floors_per_end(monkeypatch):
         assert costs == {("range", 4), ("recover", 2), ("scan", 4)}, (u, costs)
 
 
+def test_inverse_lookups_read_the_level_once(monkeypatch):
+    # index_range, frequency_scan and recover_k read (G_{i-1}, G_i) once per
+    # call, both ends of a window included, at random x and at x = +-G_n + delta
+    reads = []
+    plain = GFib.level
+
+    def level(self, unit, i):
+        reads.append(i)
+        return plain(self, unit, i)
+
+    monkeypatch.setattr(GFib, "level", level)
+    rng = random.Random(23)
+    xs = [rng.randrange(-10**30 + 1, 10**30) for _ in range(20)]
+    for u in UNITS:
+        t = DEEP_TABLES[u]
+        points = xs + [s * t[n] + n % 3 - 1 for n in range(1, 201, 9) for s in (1, -1)]
+        for i in range(1, 13):
+            for x in points:
+                del reads[:]
+                index_range(u, t, i, x, x)
+                try:
+                    recover_k(u, t, i, x)
+                except NotAMismatch:
+                    pass
+                summary = frequency_scan(u, t, i, abs(x))
+                assert reads == [i, i, i], (u, i, x, reads)
+                # the summary is a named tuple of five fields, in order
+                n = abs(x)
+                count = summary.mismatch_count
+                assert summary == (i, (-n, n), count, Fraction(count, 2 * n + 1), summary.target)
+                assert (summary.i, summary.window, summary.frequency) == (i, (-n, n), Fraction(count, 2 * n + 1))
+    assert ScanSummary._fields == ("i", "window", "mismatch_count", "frequency", "target")
+
+
 CEIL_UNITS = [make_unit("a", m) for m in (1, 2, 3, 7)] + [make_unit("b", m) for m in (3, 4, 5, 9)]
 
 
 def test_bracket_ceiling_equals_ring_route():
-    # _bracket takes c = ceil(beta**i * x) from integers alone; the ring
+    # _position's bracket takes c = ceil(beta**i * x) from integers alone; the ring
     # element beta**i * x is an independent route to it, checked at random x
     # and at x = +-G_n + delta, where x*beta is closest to an integer
     rng = random.Random(19)
@@ -569,8 +608,9 @@ def test_bracket_ceiling_equals_ring_route():
         points = sorted(set(xs + [s * t[n] + d for n in range(201) for s in (1, -1) for d in (-1, 0, 1)]))
         for i in range(1, 81):
             p = beta_pow(u, t, i)
+            bracket = _position(u, t, i)[2]
             for x in points:
-                assert _bracket(u, t, i, x)[1] == (p * x).ceil(), (u, i, x)
+                assert bracket(x)[0] == (p * x).ceil(), (u, i, x)
 
 
 def test_recover_k_and_windows_at_convergent_denominators():

@@ -200,6 +200,25 @@ def test_freq_rejects_negative_n(capsys):
     assert "error" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit in this Python")
+def test_integers_past_the_digit_limit_are_refused_by_name(capsys, monkeypatch, tmp_path):
+    limit = sys.get_int_max_str_digits()
+    # an argument argparse cannot convert: one error line that names the limit, without the digits
+    code, out, err = run_cli(capsys, "seq", "--from", "1" * (limit + 700))
+    assert (code, out) == (1, "")
+    (line,) = [x for x in err.splitlines() if "error:" in x]
+    assert f"longer than {limit} digits" in line and len(err) < 1000
+    code, _, err = run_cli(capsys, "seq", "--from", "12x")
+    assert code == 1 and "invalid int value: '12x'" in err
+    # freq --n of the limit's length parses, but its total 2n + 1 could not be written:
+    # refused before the scan and before any output
+    monkeypatch.setattr(cli, "frequency_scan", lambda *args: pytest.fail("scanned"))
+    target = tmp_path / "freq.csv"
+    code, out, err = run_cli(capsys, "freq", "--n", "9" * limit, "--out", str(target))
+    assert (code, out, target.exists()) == (1, "", False)
+    assert err.startswith("error: --n:") and f"longer than {limit} digits" in err and err.count("\n") == 1
+
+
 def test_freq_count_fault_exits_two(capsys, monkeypatch):
     # a count outside [0, 2n + 1] is a failed internal check, not a refused argument
     monkeypatch.setattr(beatty, "index_range", lambda *args: range(5, 2))

@@ -17,7 +17,7 @@ from beattymatch import (
     verify,
 )
 from beattymatch.gfib import MAX_TABLE_BITS
-from beattymatch.verify import SUITES, default_units, render_report, run_suites
+from beattymatch.verify import MAX_WINDOW, SUITES, default_units, render_report, run_suites
 
 WINDOW_SUITES = ["range-law", "criterion-equivalence", "set-equivalence"]
 
@@ -48,9 +48,12 @@ def test_suite_selection_order_is_canonical():
 
 
 def test_frequency_levels_past_i_max_get_a_long_enough_table():
-    # the frequency suite runs levels 1..i_max, on tables sized from i_max
+    # the frequency suite runs levels 1..i_max, on tables sized from i_max: the
+    # remainder check at each, the exact route at each with G_i <= MAX_WINDOW
     (result,) = run_suites(names=["frequency"], i_max=70, freq_n=10)
-    assert result.passed and result.checked == 6 * 70
+    exact = sum(GFib.build(u, 70)[i] <= MAX_WINDOW for u in default_units() for i in range(1, 71))
+    assert result.passed and result.checked == 6 * 70 + exact
+    assert result.note.endswith(" exact-skipped=a1:i27-70,a2:i15-70,a3:i11-70,b3:i14-70,b4:i10-70,b5:i9-70")
 
 
 def test_frequency_note_is_the_exact_worst_remainder():
@@ -58,7 +61,21 @@ def test_frequency_note_is_the_exact_worst_remainder():
     # at n = 0 the count is 1 exactly at family a, even i; the worst
     # |count - beta**i| is 1 - beta**2 = 3*beta = 0.9083... for family a,
     # m = 3, floored to 3 decimals
-    assert result.note == "max-remainder=0.908"
+    assert result.note == "max-remainder=0.908 exact-skipped=none"
+
+
+def test_frequency_suite_fails_a_count_off_by_one(monkeypatch):
+    # the bounded remainder alone passes a count one too high at most levels;
+    # the exact route fails a count off by one either way at every level it checks
+    plain = verify.beatty.index_range
+    for step in (1, -1):
+        def shifted(*args, step=step):
+            ks = plain(*args)
+            return range(ks.start, ks.stop + step)
+
+        monkeypatch.setattr(verify.beatty, "index_range", shifted)
+        (result,) = run_suites(names=["frequency"], i_max=4, freq_n=1000)
+        assert result.checked == 2 * 6 * 4 and result.failures >= 6 * 4, (step, result)
 
 
 def test_unknown_suite_rejected():
@@ -107,11 +124,11 @@ def test_a_suite_that_raises_fails_alone(monkeypatch, capsys):
         raise InvariantError(f"{unit}: planted window fault")
 
     monkeypatch.setattr(verify.beatty, "floor_window", broken)
-    law, freq = run_suites(names=["range-law", "frequency"], i_max=3, window=50, freq_n=500)
+    law, power = run_suites(names=["range-law", "power-identities"], i_max=3, window=50)
     assert (law.name, law.checked, law.failures) == ("range-law", 0, 1)
     assert "planted window fault" in law.note
-    assert freq.name == "frequency" and freq.passed
-    assert cli.main(["verify", "--suite", "range-law", "--suite", "frequency"]) == 2
+    assert power.name == "power-identities" and power.passed
+    assert cli.main(["verify", "--suite", "range-law", "--suite", "power-identities"]) == 2
     out, err = capsys.readouterr()
     assert "planted window fault" in out and "overall: FAIL" in out
     assert err == ""
@@ -315,7 +332,7 @@ suite                       checked  failures  status
 range-law                   1440072         0  PASS
 criterion-equivalence       1440072         0  PASS
 set-equivalence               80111         0  PASS
-frequency                        72         0  PASS  max-remainder=0.881
+frequency                       135         0  PASS  max-remainder=0.881 exact-skipped=a3:i11-12,b4:i10-12,b5:i9-12
 power-identities                360         0  PASS
 unit-interval                  2406         0  PASS
 sigma-identities              53764         0  PASS
