@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .gfib import GFib
-from .units import InvariantError, QuadraticUnit, ZBeta, beta_pow, mismatch_epsilon
+from .units import InvariantError, QuadraticUnit, ZBeta, _Frozen, beta_pow, mismatch_epsilon
 
 # j per floor window of a floor stream, and rows per block of a streamed CLI document
 BLOCK_ROWS = 1 << 12
@@ -87,17 +86,24 @@ def is_mismatch(unit: QuadraticUnit, table: GFib, i: int, j: int) -> bool:
     return below == (mismatch_epsilon(unit, i) < 0)
 
 
-@dataclass(frozen=True)
-class FloorWindow:
+class FloorWindow(_Frozen):
     """Exact floors of j*beta for j in [j0, j0 + len(floors)) and, computed
     from the sums on first read, certified lows: frac((j0 + t)*beta) * 2**bits
     lies in [lows[t], lows[t] + t + 1).  The lists are shared; treat them as read-only.
     """
 
+    # __dict__ holds what the cached properties compute
+    __slots__ = ("j0", "bits", "floors", "sums", "__dict__")
     j0: int
     bits: int
     floors: list[int]
     sums: range
+
+    def __init__(self, j0: int, bits: int, floors: list[int], sums: range) -> None:
+        object.__setattr__(self, "j0", j0)
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "floors", floors)
+        object.__setattr__(self, "sums", sums)
 
     @cached_property
     def lows(self) -> list[int]:

@@ -26,7 +26,7 @@ import functools
 import json
 import os
 import re
-import shutil
+import stat
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import chain, islice, repeat
@@ -72,21 +72,25 @@ def _integer(text: str) -> int:
 
 def parse_endpoint(text: str, unit: QuadraticUnit) -> ZBeta:
     """Parse a window endpoint of the shape "A", "B*beta" or "A+B*beta"
-    (spaces and parentheses around B tolerated)."""
+    (spaces and parentheses around B tolerated).  A term past the digit
+    limit is refused by name, as :func:`_integer` refuses an integer argument."""
     s = text.replace(" ", "")
-    m_full = re.fullmatch(rf"({_ENDPOINT_TERM})([+-])\(?({_ENDPOINT_TERM})\)?\*beta", s)
-    if m_full:
-        a = int(m_full.group(1))
-        b = int(m_full.group(3))
-        if m_full.group(2) == "-":
-            b = -b
-        return ZBeta(a, b, unit)
-    m_beta = re.fullmatch(rf"\(?({_ENDPOINT_TERM})\)?\*beta", s)
-    if m_beta:
-        return ZBeta(0, int(m_beta.group(1)), unit)
-    m_int = re.fullmatch(_ENDPOINT_TERM, s)
-    if m_int:
-        return ZBeta(int(s), 0, unit)
+    try:
+        m_full = re.fullmatch(rf"({_ENDPOINT_TERM})([+-])\(?({_ENDPOINT_TERM})\)?\*beta", s)
+        if m_full:
+            a = _integer(m_full.group(1))
+            b = _integer(m_full.group(3))
+            if m_full.group(2) == "-":
+                b = -b
+            return ZBeta(a, b, unit)
+        m_beta = re.fullmatch(rf"\(?({_ENDPOINT_TERM})\)?\*beta", s)
+        if m_beta:
+            return ZBeta(0, _integer(m_beta.group(1)), unit)
+        m_int = re.fullmatch(_ENDPOINT_TERM, s)
+        if m_int:
+            return ZBeta(_integer(s), 0, unit)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"window endpoint term {exc}") from None
     raise UsageError(f"cannot parse window endpoint {text!r}; expected forms like '1', '-2*beta', '1+(-1)*beta'")
 
 
@@ -132,7 +136,7 @@ def _write_file(chunks: Iterable[str], out: str) -> None:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         with contextlib.suppress(FileNotFoundError):
-            shutil.copymode(out, tmp)
+            os.chmod(tmp, stat.S_IMODE(os.stat(out).st_mode))
         os.replace(tmp, out)
     except BaseException:
         with contextlib.suppress(OSError):

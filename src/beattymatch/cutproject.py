@@ -9,13 +9,12 @@ exceptional positions of the shift analysis a literal list comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import sub
 from typing import Iterable, Iterator, NamedTuple
 
 from .beatty import _floor_stream
-from .units import QuadraticUnit, UnitMismatch, ZBeta
+from .units import QuadraticUnit, UnitMismatch, ZBeta, _Frozen
 
 
 class LatticePoint(NamedTuple):
@@ -23,17 +22,19 @@ class LatticePoint(NamedTuple):
     b: int
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Frozen):
     """Half-open interval [lo, hi) with exact ring endpoints."""
 
+    __slots__ = ("lo", "hi")
     lo: ZBeta
     hi: ZBeta
 
-    def __post_init__(self) -> None:
+    def __init__(self, lo: ZBeta, hi: ZBeta) -> None:
         # the difference raises UnitMismatch for endpoints of different units
-        if (self.hi - self.lo).sign() < 0:
+        if (hi - lo).sign() < 0:
             raise ValueError("window endpoints out of order")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def unit(self) -> QuadraticUnit:

@@ -9,29 +9,29 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .units import QuadraticUnit, UnitMismatch
+from .units import QuadraticUnit, UnitMismatch, _Frozen
 
 DEFAULT_LENGTH = 64
 # for_level refuses a table whose entries could together exceed this many bits
 MAX_TABLE_BITS = 1 << 32
 
 
-@dataclass(frozen=True)
-class GFib:
+class GFib(_Frozen):
     """Immutable table G_0..G_N for one unit."""
 
+    __slots__ = ("unit", "values")
     unit: QuadraticUnit
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.values) < 2 or self.values[0] != 0 or self.values[1] != 1:
+    def __init__(self, unit: QuadraticUnit, values: tuple[int, ...]) -> None:
+        if len(values) < 2 or values[0] != 0 or values[1] != 1:
             raise ValueError("table must start with G_0=0, G_1=1")
-        m, sign = self.unit.m, self.unit.sign
-        for n in range(len(self.values) - 2):
-            if self.values[n + 2] != m * self.values[n + 1] + sign * self.values[n]:
+        m, sign = unit.m, unit.sign
+        for n in range(len(values) - 2):
+            if values[n + 2] != m * values[n + 1] + sign * values[n]:
                 raise ValueError(f"table breaks the recurrence at index {n + 2}")
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def build(cls, unit: QuadraticUnit, n: int = DEFAULT_LENGTH) -> "GFib":

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from functools import total_ordering
+from operator import attrgetter
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -39,8 +39,44 @@ class InvariantError(ValueError):
     """An identity the exact arithmetic relies on failed to hold."""
 
 
-@dataclass(frozen=True)
-class QuadraticUnit:
+class _Frozen:
+    """Base of the package's immutable value types.  Equality (only between
+    objects of one class), hashing and repr read the fields named in the
+    subclass's ``__slots__``, in order; assigning or deleting an attribute
+    raises AttributeError, so ``__init__`` sets the fields with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # copy and pickle restore the slots, state[1], through here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class QuadraticUnit(_Frozen):
     """The unit beta of one family, identified by the parameter m.
 
     ``sign`` is the family sign sigma, +1 (family a) or -1 (family b), with
@@ -48,18 +84,21 @@ class QuadraticUnit:
     discriminant; both are derived from the family.
     """
 
+    __slots__ = ("family", "m", "sign", "D")
     family: Family
     m: int
-    sign: int = field(init=False)
-    D: int = field(init=False)
+    sign: int
+    D: int
 
-    def __post_init__(self) -> None:
-        sign = 1 if self.family is Family.PLUS else -1
-        if self.m < 2 - sign:
-            raise DomainError(f"family {self.family.value} requires m >= {2 - sign}, got m={self.m}")
+    def __init__(self, family: Family, m: int) -> None:
+        sign = 1 if family is Family.PLUS else -1
+        if m < 2 - sign:
+            raise DomainError(f"family {family.value} requires m >= {2 - sign}, got m={m}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "sign", sign)
         # D is never a square (5 at m = 1, else strictly between m^2 and (m +- 1)^2), and m^2 - D = -4*sign
-        object.__setattr__(self, "D", self.m * self.m + 4 * sign)
+        object.__setattr__(self, "D", m * m + 4 * sign)
 
     def floor_mul(self, j: int) -> int:
         """Exact floor of j*beta for any integer j."""
@@ -106,13 +145,18 @@ def make_unit(family: Union[Family, str], m: int) -> QuadraticUnit:
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class ZBeta:
+class ZBeta(_Frozen):
     """Ring element a + b*beta with exact integer coordinates."""
 
+    __slots__ = ("a", "b", "unit")
     a: int
     b: int
     unit: QuadraticUnit
+
+    def __init__(self, a: int, b: int, unit: QuadraticUnit) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "unit", unit)
 
     def _check_unit(self, other: "ZBeta") -> None:
         if other.unit != self.unit:

@@ -13,8 +13,7 @@ can actually fail.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import beatty, cutproject
 from .gfib import MAX_TABLE_BITS, GFib
@@ -44,8 +43,7 @@ MAX_B_SPAN = 1 << 14
 POWER_I_MAX = 60
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     checked: int
     failures: int

@@ -219,6 +219,19 @@ def test_integers_past_the_digit_limit_are_refused_by_name(capsys, monkeypatch, 
     assert err.startswith("error: --n:") and f"longer than {limit} digits" in err and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit in this Python")
+@pytest.mark.parametrize("flag", ["--lo", "--hi"])
+@pytest.mark.parametrize("shape", ["{}", "{}+1*beta", "{}*beta", "1-({})*beta"])
+def test_endpoint_terms_past_the_digit_limit_are_refused_by_name(capsys, tmp_path, flag, shape):
+    # the A and the B term of a window endpoint go through the integer flags' refusal
+    limit = sys.get_int_max_str_digits()
+    target = tmp_path / "cut.csv"
+    code, out, err = run_cli(capsys, "cut", flag, shape.format("2" * (limit + 100)), "--out", str(target))
+    assert (code, out, target.exists()) == (1, "", False)
+    assert err.startswith("error: window endpoint") and f"longer than {limit} digits" in err
+    assert err.count("\n") == 1 and len(err) < 1000
+
+
 def test_freq_count_fault_exits_two(capsys, monkeypatch):
     # a count outside [0, 2n + 1] is a failed internal check, not a refused argument
     monkeypatch.setattr(beatty, "index_range", lambda *args: range(5, 2))

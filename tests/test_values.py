@@ -1,11 +1,16 @@
 """Value semantics of the package's immutable types: equal arguments give
 equal (and, where hashable, equally hashed) objects, the repr text, refused
-assignment, copies, and each constructor's errors."""
+assignment, copies, and each constructor's errors; and what importing the
+package that defines them loads."""
 
 from __future__ import annotations
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +145,14 @@ def test_constructor_errors():
         SuiteResult("range-law", 3)
     assert SuiteResult("range-law", 3, 0).note == "" and SuiteResult("range-law", 3, 0).passed
     assert not SuiteResult("range-law", 3, 1, note="see witness").passed
+
+
+def test_import_loads_no_dataclasses():
+    # the value types generate no code at import, so the package loads neither
+    # dataclasses nor the inspect machinery that comes with it
+    probe = "import sys; before = set(sys.modules); import beattymatch; print(*sorted(set(sys.modules) - before))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=60)
+    added = set(done.stdout.split())
+    assert "beattymatch" in added
+    assert not {"dataclasses", "inspect"} & added
