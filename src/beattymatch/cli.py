@@ -189,6 +189,12 @@ def _document(args: argparse.Namespace, keys: Sequence[str], rows: Iterable[tupl
     return _emit(_csv_doc(keys, rows), args.out)
 
 
+def _level_table(unit: QuadraticUnit, i: int) -> GFib:
+    """G_0..G_i, the table of a command at level i.  Below level 1 it is
+    G_0..G_1, so that GFib.level refuses the level by its own message."""
+    return GFib.build(unit, max(i, 1))
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -200,7 +206,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 def cmd_mismatch(args: argparse.Namespace) -> int:
     unit = make_unit(args.family, args.m)
-    table = GFib.for_level(unit, args.i)
+    table = _level_table(unit, args.i)
     if (args.k_lo is None) != (args.k_hi is None):
         raise UsageError("--k-from and --k-to must be given together")
     ks = index_range(unit, table, args.i, args.j_lo, args.j_hi)
@@ -220,7 +226,7 @@ def cmd_freq(args: argparse.Namespace) -> int:
     total, limit = 2 * args.n + 1, _max_digits()
     if limit and total >= 10**limit:
         raise UsageError(f"--n: the total 2n + 1 would be longer than {limit} digits, Python's int/str limit")
-    summary = frequency_scan(unit, GFib.for_level(unit, args.i), args.i, args.n)
+    summary = frequency_scan(unit, _level_table(unit, args.i), args.i, args.n)
     exact = f"{summary.mismatch_count}/{total}"
     decimal = float(summary.frequency)
     if args.format == "json":
@@ -318,7 +324,7 @@ def render_ascii(j_lo: int, main: Sequence[int], overlay: Sequence[int], marks: 
 
 def cmd_plot(args: argparse.Namespace) -> int:
     unit = make_unit(args.family, args.m)
-    table = GFib.for_level(unit, args.i)
+    table = _level_table(unit, args.i)
     j_lo, j_hi = args.j_lo, args.j_hi
     count = max(0, j_hi - j_lo + 1)
     drop, shift = table.level(unit, args.i)

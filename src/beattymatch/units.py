@@ -79,9 +79,10 @@ class _Frozen:
 class QuadraticUnit(_Frozen):
     """The unit beta of one family, identified by the parameter m.
 
-    ``sign`` is the family sign sigma, +1 (family a) or -1 (family b), with
-    beta^2 = sigma*(1 - m*beta), and ``D`` = m^2 + 4*sigma is the
-    discriminant; both are derived from the family.
+    ``family`` is a :class:`Family` or its letter "a"/"b"; anything else is
+    refused with ValueError.  ``sign`` is the family sign sigma, +1 (family a)
+    or -1 (family b), with beta^2 = sigma*(1 - m*beta), and ``D`` = m^2 + 4*sigma
+    is the discriminant; both are derived from the family.
     """
 
     __slots__ = ("family", "m", "sign", "D")
@@ -90,7 +91,8 @@ class QuadraticUnit(_Frozen):
     sign: int
     D: int
 
-    def __init__(self, family: Family, m: int) -> None:
+    def __init__(self, family: Union[Family, str], m: int) -> None:
+        family = Family(family)
         sign = 1 if family is Family.PLUS else -1
         if m < 2 - sign:
             raise DomainError(f"family {family.value} requires m >= {2 - sign}, got m={m}")
@@ -139,9 +141,8 @@ class QuadraticUnit(_Frozen):
         return f"beta[{self.family.value},m={self.m}]"
 
 
-def make_unit(family: Union[Family, str], m: int) -> QuadraticUnit:
-    """Validated constructor; accepts the enum or its letter "a"/"b"."""
-    return QuadraticUnit(family if isinstance(family, Family) else Family(family), m)
+# a second public name of the constructor, which reads the family letter itself
+make_unit = QuadraticUnit
 
 
 @total_ordering

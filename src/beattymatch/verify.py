@@ -39,7 +39,8 @@ DEFAULT_B_SPAN = 200
 # the cut suites hold 2*b_span + 1 points per window
 MAX_WINDOW = 1 << 17
 MAX_B_SPAN = 1 << 14
-# power-identities checks beta**i for i = 1..POWER_I_MAX; every table run_suites builds reaches it
+# power-identities checks beta**i for i = 1..POWER_I_MAX, so run_suites builds every table
+# to G_max(i_max, POWER_I_MAX)
 POWER_I_MAX = 60
 
 
@@ -301,7 +302,7 @@ def run_suites(
     grid = list(units) if units is not None else default_units()
     if sum(GFib.size_bound(u, i_max) for u in grid) > MAX_TABLE_BITS:
         raise ValueError(f"the tables of {len(grid)} units up to level {i_max} exceed the cap of {MAX_TABLE_BITS} bits")
-    tables = {u: GFib.for_level(u, i_max) for u in grid}
+    tables = {u: GFib.build(u, max(i_max, POWER_I_MAX)) for u in grid}
 
     runners = {
         "range-law": lambda: _suite_range_law(grid, tables, i_max, window),

@@ -471,6 +471,19 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert not target.exists(), argv
 
 
+def test_level_commands_build_their_table_to_their_level(capsys, monkeypatch):
+    # mismatch, plot and freq read G_{i-1} and G_i, so each builds G_0..G_i;
+    # a level below 1 is refused by name, not by the table's own n >= 1 check
+    built, plain = [], GFib.build
+    monkeypatch.setattr(GFib, "build", classmethod(lambda cls, unit, n: built.append(n) or plain(unit, n)))
+    for command, i in (("mismatch", 3), ("plot", 5), ("freq", 7)):
+        del built[:]
+        assert run_cli(capsys, command, "--i", str(i))[0] == 0
+        assert built == [i], command
+        for low in ("0", "-2"):
+            assert run_cli(capsys, command, "--i", low) == (1, "", f"error: shift index must be >= 1, got {low}\n")
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 

@@ -35,21 +35,20 @@ def test_default_length(units):
         assert len(GFib.build(u)) == 65  # G_0..G_64
 
 
-def test_for_level_reaches_g_i(units):
+def test_build_holds_g_0_to_g_n(units):
     for u in units:
-        assert len(GFib.for_level(u, 12)) == 65
-        assert len(GFib.for_level(u, 70)) == 71  # G_0..G_70
+        for n in (1, 12, 70):
+            assert len(GFib.build(u, n)) == n + 1  # G_0..G_n
 
 
-def test_for_level_refuses_tables_past_the_bit_cap(monkeypatch):
-    # n**2 * bit_length(m) / 2 against MAX_TABLE_BITS, decided before building
-    monkeypatch.setattr(GFib, "build", classmethod(lambda cls, unit, n: n))
+def test_build_refuses_tables_past_the_bit_cap():
+    # n**2 * bit_length(m) / 2 against MAX_TABLE_BITS, decided before the
+    # first entry is filled; the widest legal tables are never built here
     for m, widest in ((1, 92681), (10**6, 20724)):
         u = make_unit("a", m)
-        assert GFib.for_level(u, widest) == widest
-        with pytest.raises(ValueError, match=str(MAX_TABLE_BITS)):
-            GFib.for_level(u, widest + 1)
-    assert GFib.for_level(make_unit("a", 10**6), 20000) == 20000
+        assert GFib.size_bound(u, widest) <= MAX_TABLE_BITS < GFib.size_bound(u, widest + 1)
+        with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_TABLE_BITS} bits"):
+            GFib.build(u, widest + 1)
 
 
 def test_recurrence_holds_everywhere(units, tables):
@@ -78,16 +77,6 @@ def test_shift_law(units, tables):
         sign = 1 if u.family is Family.PLUS else -1
         for i in range(1, 40):
             assert t[i + 1] == u.m * t[i] + sign * t[i - 1]
-
-
-def test_tampered_table_rejected():
-    u = make_unit("a", 1)
-    with pytest.raises(ValueError):
-        GFib(u, (0, 1, 1, 2, 4))
-    with pytest.raises(ValueError):
-        GFib(u, (1, 1))
-    with pytest.raises(ValueError):
-        GFib(u, (0,))
 
 
 def test_power_identity_spot_checks(units, tables):

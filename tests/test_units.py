@@ -56,6 +56,19 @@ def test_direct_construction_checks_discriminant():
         QuadraticUnit(Family.PLUS, 1, 5)
 
 
+def test_the_constructor_reads_its_own_family_letter():
+    # the letter names the same family as the enum; anything else is refused
+    from beattymatch import QuadraticUnit
+
+    assert QuadraticUnit("a", 5) == make_unit(Family.PLUS, 5)
+    assert QuadraticUnit("a", 1).floor_mul(10) == 6
+    with pytest.raises(DomainError, match="family b requires m >= 3, got m=2"):
+        QuadraticUnit("b", 2)
+    for family in ("x", 1):
+        with pytest.raises(ValueError, match="is not a valid Family"):
+            QuadraticUnit(family, 1)
+
+
 def test_discriminant_is_never_a_square():
     # the reason QuadraticUnit needs no perfect-square or root-product check
     for family, first in ((Family.PLUS, 1), (Family.MINUS, 3)):

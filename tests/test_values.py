@@ -123,13 +123,11 @@ def test_constructor_errors():
     with pytest.raises(TypeError):
         ZBeta(1, 2, GOLDEN, 3)
     with pytest.raises(TypeError):
-        GFib(GOLDEN)
-    with pytest.raises(ValueError, match="table must start with G_0=0, G_1=1"):
-        GFib(GOLDEN, (0,))
-    with pytest.raises(ValueError, match="table breaks the recurrence at index 3"):
-        GFib(GOLDEN, (0, 1, 1, 3))
+        GFib(GOLDEN, (0, 1))  # a table is made by GFib.build alone
     with pytest.raises(ValueError, match="table needs at least G_0..G_1, got n=0"):
         GFib.build(GOLDEN, 0)
+    with pytest.raises(ValueError, match="a table G_0..G_92682 for m=1 exceeds the cap of 4294967296 bits"):
+        GFib.build(GOLDEN, 92_682)
     with pytest.raises(TypeError):
         FloorWindow(0, 6, [0])
     with pytest.raises(ValueError, match="window length must be >= 0, got -1"):

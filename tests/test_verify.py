@@ -201,7 +201,7 @@ def test_window_suites_at_level_seams():
     # three suites report the tallies of the pointwise oracles, whether a
     # level's shifted floors are a slice of the shared window or its own
     for u in default_units():
-        tables = {u: GFib.for_level(u, 12)}
+        tables = {u: GFib.build(u, 12)}
         t = tables[u]
         for w in _seam_windows(t):
             js = range(-w, w + 1)
@@ -235,7 +235,7 @@ def test_level_windows_slice_the_shared_window_that_reaches(monkeypatch):
     plain = beatty.floor_window
     monkeypatch.setattr(beatty, "floor_window", lambda u, j0, count: builds.append(j0) or plain(u, j0, count))
     for u in default_units():
-        tables = {u: GFib.for_level(u, 12)}
+        tables = {u: GFib.build(u, 12)}
         t = tables[u]
         for w in _seam_windows(t):
             js = range(-w, w + 1)
@@ -283,7 +283,7 @@ def test_set_equivalence_counts_only_records_it_can_trust(monkeypatch, corrupt, 
     # bare count: a record at -W - 1 reads d[-1] (here the level-2 and level-4
     # mismatch at W), a duplicate reads one place twice and eps = 0 matches a match
     u, w = PIN_UNIT, PIN_WINDOW
-    t = GFib.for_level(u, PIN_LEVELS)
+    t = GFib.build(u, PIN_LEVELS)
     assert is_mismatch(u, t, 2, w) and is_mismatch(u, t, 4, w)
     plain = beatty.mismatches_between
     monkeypatch.setattr(beatty, "mismatches_between", lambda *a: corrupt(plain(*a), a[3], a[4]))
@@ -301,7 +301,7 @@ def test_set_equivalence_counts_only_records_it_can_trust(monkeypatch, corrupt, 
 )
 def test_criterion_equivalence_fault_counts(fault_j, failures):
     u, w = PIN_UNIT, PIN_WINDOW
-    t = GFib.for_level(u, PIN_LEVELS)
+    t = GFib.build(u, PIN_LEVELS)
     assert [discrepancy(u, t, i, fault_j) for i in range(1, PIN_LEVELS + 1)] == {
         -5: [1, 0, 1, 0],
         0: [0, -1, 0, -1],
