@@ -71,27 +71,21 @@ def _integer(text: str) -> int:
 
 
 def parse_endpoint(text: str, unit: QuadraticUnit) -> ZBeta:
-    """Parse a window endpoint of the shape "A", "B*beta" or "A+B*beta"
-    (spaces and parentheses around B tolerated).  A term past the digit
-    limit is refused by name, as :func:`_integer` refuses an integer argument."""
-    s = text.replace(" ", "")
+    """Parse a window endpoint "A", "B*beta" or "A+B*beta" / "A-B*beta",
+    where A and B are signed integers, B may stand in parentheses and
+    spaces are ignored.  A term past the digit limit is refused by name,
+    as :func:`_integer` refuses an integer argument."""
+    # A, then the sign joining it to B*beta; the sign is there exactly when A is
+    parts = re.fullmatch(rf"(?!$)({_ENDPOINT_TERM})?(?:(?(1)([+-]))\(?({_ENDPOINT_TERM})\)?\*beta)?",
+                         text.replace(" ", ""))
+    if parts is None:
+        raise UsageError(f"cannot parse window endpoint {text!r}; expected forms like '1', '-2*beta', '1+(-1)*beta'")
+    a, join, b = parts.groups()
     try:
-        m_full = re.fullmatch(rf"({_ENDPOINT_TERM})([+-])\(?({_ENDPOINT_TERM})\)?\*beta", s)
-        if m_full:
-            a = _integer(m_full.group(1))
-            b = _integer(m_full.group(3))
-            if m_full.group(2) == "-":
-                b = -b
-            return ZBeta(a, b, unit)
-        m_beta = re.fullmatch(rf"\(?({_ENDPOINT_TERM})\)?\*beta", s)
-        if m_beta:
-            return ZBeta(0, _integer(m_beta.group(1)), unit)
-        m_int = re.fullmatch(_ENDPOINT_TERM, s)
-        if m_int:
-            return ZBeta(_integer(s), 0, unit)
+        a, b = (0 if term is None else _integer(term) for term in (a, b))
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"window endpoint term {exc}") from None
-    raise UsageError(f"cannot parse window endpoint {text!r}; expected forms like '1', '-2*beta', '1+(-1)*beta'")
+    return ZBeta(a, -b if join == "-" else b, unit)
 
 
 # ---------------------------------------------------------------- output
@@ -249,13 +243,9 @@ def cmd_cut(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- plotting
 
 
-def _value_range(main: Sequence[int], overlay: Sequence[int]) -> tuple[int, int]:
-    """Lowest and highest value of the two lines; both are nondecreasing."""
-    return min(main[0], overlay[0]), max(main[-1], overlay[-1])
-
-
 def render_svg(j_lo: int, main: Sequence[int], overlay: Sequence[int],
-               marks: Sequence[int], label: str) -> Iterator[str]:
+               marks: Sequence[int], vmin: int, vmax: int, label: str) -> Iterator[str]:
+    """The plot as SVG text, scaled so that the values vmin..vmax of the two lines fill its height."""
     count = len(main)
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}" '
            f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}">\n')
@@ -269,7 +259,6 @@ def render_svg(j_lo: int, main: Sequence[int], overlay: Sequence[int],
     yield "</g>\n"
 
     if count:
-        vmin, vmax = _value_range(main, overlay)
         span_x = count
         span_y = max(vmax - vmin, 1)
         plot_w = x1 - x0
@@ -305,14 +294,15 @@ def render_svg(j_lo: int, main: Sequence[int], overlay: Sequence[int],
     yield "</svg>\n"
 
 
-def render_ascii(j_lo: int, main: Sequence[int], overlay: Sequence[int], marks: Sequence[int]) -> Iterator[str]:
-    """One line per value, top down: '#' on the main line, '!' where it is
-    a mismatch, '+' on the overlay.  Both lines are nondecreasing, so a
-    value fills one run of columns on each, found by bisection."""
+def render_ascii(j_lo: int, main: Sequence[int], overlay: Sequence[int], marks: Sequence[int],
+                 vmin: int, vmax: int) -> Iterator[str]:
+    """One line per value from vmax down to vmin, the values of the two lines:
+    '#' on the main line, '!' where it is a mismatch, '+' on the overlay.  Both
+    lines are nondecreasing, so a value fills one run of columns on each,
+    found by bisection."""
     if not main:
         return
     mark_set = set(marks)
-    vmin, vmax = _value_range(main, overlay)
     for v in range(vmax, vmin - 1, -1):
         m0, m1 = bisect_left(main, v), bisect_right(main, v)
         o0, o1 = bisect_left(overlay, v), bisect_right(overlay, v)
@@ -330,21 +320,21 @@ def cmd_plot(args: argparse.Namespace) -> int:
     drop, shift = table.level(unit, args.i)
     if args.format == "svg" and count > PLOT_MAX_POINTS:
         raise UsageError(f"an svg plot of {count} points exceeds the cap of {PLOT_MAX_POINTS}")
-    if args.format == "ascii" and count:
-        # the floors are monotone, so the end points give the number of lines
-        fm = unit.floor_mul
-        lines = max(fm(j_hi), fm(j_hi + shift) - drop) - min(fm(j_lo), fm(j_lo + shift) - drop) + 1
-        if count * lines > PLOT_MAX_CELLS:
-            raise UsageError(f"an ascii plot of {count} columns x {lines} rows exceeds the cap "
-                             f"of {PLOT_MAX_CELLS} cells")
+    # the floors are monotone, so the end points give the value range of both lines
+    fm = unit.floor_mul
+    vmin, vmax = min(fm(j_lo), fm(j_lo + shift) - drop), max(fm(j_hi), fm(j_hi + shift) - drop)
+    lines = vmax - vmin + 1
+    if args.format == "ascii" and count * lines > PLOT_MAX_CELLS:
+        raise UsageError(f"an ascii plot of {count} columns x {lines} rows exceeds the cap "
+                         f"of {PLOT_MAX_CELLS} cells")
     main = list(_floor_stream(unit, range(j_lo, j_hi + 1)))
     overlay = [f - drop for f in _floor_stream(unit, range(j_lo + shift, j_hi + 1 + shift))]
     marks = [j for j, f, g in zip(range(j_lo, j_hi + 1), main, overlay) if f != g]
     if args.format == "ascii":
-        doc = render_ascii(j_lo, main, overlay, marks)
+        doc = render_ascii(j_lo, main, overlay, marks, vmin, vmax)
     else:
         label = f"floor(j*beta) family={args.family} m={args.m} i={args.i} j={j_lo}..{j_hi}"
-        doc = render_svg(j_lo, main, overlay, marks, label)
+        doc = render_svg(j_lo, main, overlay, marks, vmin, vmax, label)
     return _emit(doc, args.out)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from functools import total_ordering
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -80,8 +80,10 @@ class QuadraticUnit(_Frozen):
     """The unit beta of one family, identified by the parameter m.
 
     ``family`` is a :class:`Family` or its letter "a"/"b"; anything else is
-    refused with ValueError.  ``sign`` is the family sign sigma, +1 (family a)
-    or -1 (family b), with beta^2 = sigma*(1 - m*beta), and ``D`` = m^2 + 4*sigma
+    refused with ValueError.  ``m`` is an integer, or anything with
+    ``__index__``, stored as the plain int; anything else is refused with
+    TypeError.  ``sign`` is the family sign sigma, +1 (family a) or -1
+    (family b), with beta^2 = sigma*(1 - m*beta), and ``D`` = m^2 + 4*sigma
     is the discriminant; both are derived from the family.
     """
 
@@ -92,7 +94,7 @@ class QuadraticUnit(_Frozen):
     D: int
 
     def __init__(self, family: Union[Family, str], m: int) -> None:
-        family = Family(family)
+        family, m = Family(family), index(m)
         sign = 1 if family is Family.PLUS else -1
         if m < 2 - sign:
             raise DomainError(f"family {family.value} requires m >= {2 - sign}, got m={m}")

@@ -39,8 +39,7 @@ DEFAULT_B_SPAN = 200
 # the cut suites hold 2*b_span + 1 points per window
 MAX_WINDOW = 1 << 17
 MAX_B_SPAN = 1 << 14
-# power-identities checks beta**i for i = 1..POWER_I_MAX, so run_suites builds every table
-# to G_max(i_max, POWER_I_MAX)
+# power-identities checks beta**i for i = 1..POWER_I_MAX, on its own table G_0..G_POWER_I_MAX
 POWER_I_MAX = 60
 
 
@@ -177,12 +176,12 @@ def _suite_frequency(units: Sequence[QuadraticUnit], tables: dict, i_max: int, n
     return SuiteResult("frequency", checked, failures, note=note)
 
 
-def _suite_power_identities(units: Sequence[QuadraticUnit], tables: dict) -> SuiteResult:
+def _suite_power_identities(units: Sequence[QuadraticUnit]) -> SuiteResult:
     """beta**i read off the table equals the i-fold product of beta and
     the square-and-multiply power, for every i <= POWER_I_MAX."""
     checked = failures = 0
     for u in units:
-        t = tables[u]
+        t = GFib.build(u, POWER_I_MAX)
         beta = ZBeta(0, 1, u)
         folded = beta
         for i in range(1, POWER_I_MAX + 1):
@@ -211,7 +210,7 @@ def _conjugate_preimage(unit: QuadraticUnit, p: cutproject.LatticePoint) -> cutp
     return cutproject.LatticePoint(p.b + unit.m * p.a, unit.sign * p.a)
 
 
-def _sample_windows(unit: QuadraticUnit, table: GFib) -> list[cutproject.Window]:
+def _sample_windows(unit: QuadraticUnit) -> list[cutproject.Window]:
     zero = unit.element(0, 0)
     one = unit.element(1, 0)
     beta = unit.element(0, 1)
@@ -221,14 +220,14 @@ def _sample_windows(unit: QuadraticUnit, table: GFib) -> list[cutproject.Window]
         cutproject.Window(zero, beta),
         cutproject.Window(beta, one),
         cutproject.Window(beta - 1, beta),
-        cutproject.Window(zero, beta_pow(unit, table, 2)),
+        cutproject.Window(zero, beta * beta),
     ]
 
 
-def _suite_sigma_identities(units: Sequence[QuadraticUnit], tables: dict, b_span: int) -> SuiteResult:
+def _suite_sigma_identities(units: Sequence[QuadraticUnit], b_span: int) -> SuiteResult:
     checked = failures = 0
     for u in units:
-        for w in _sample_windows(u, tables[u]):
+        for w in _sample_windows(u):
             src = cutproject.cut_points(u, w, -b_span, b_span)
 
             # integer translation of the window moves every point with it
@@ -302,16 +301,17 @@ def run_suites(
     grid = list(units) if units is not None else default_units()
     if sum(GFib.size_bound(u, i_max) for u in grid) > MAX_TABLE_BITS:
         raise ValueError(f"the tables of {len(grid)} units up to level {i_max} exceed the cap of {MAX_TABLE_BITS} bits")
-    tables = {u: GFib.build(u, max(i_max, POWER_I_MAX)) for u in grid}
+    # G_0..G_{i_max}: the levels that the level suites read
+    tables = {u: GFib.build(u, i_max) for u in grid}
 
     runners = {
         "range-law": lambda: _suite_range_law(grid, tables, i_max, window),
         "criterion-equivalence": lambda: _suite_criterion_equivalence(grid, tables, i_max, window, fault_j),
         "set-equivalence": lambda: _suite_set_equivalence(grid, tables, i_max, window),
         "frequency": lambda: _suite_frequency(grid, tables, i_max, freq_n),
-        "power-identities": lambda: _suite_power_identities(grid, tables),
+        "power-identities": lambda: _suite_power_identities(grid),
         "unit-interval": lambda: _suite_unit_interval(grid, b_span),
-        "sigma-identities": lambda: _suite_sigma_identities(grid, tables, b_span),
+        "sigma-identities": lambda: _suite_sigma_identities(grid, b_span),
         "level-bridge": lambda: _suite_level_bridge(grid, tables, i_max, b_span),
     }
     results = []

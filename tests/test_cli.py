@@ -341,6 +341,10 @@ def test_plot_empty_range_minimal_svg(capsys):
     assert not list(root.iter("{http://www.w3.org/2000/svg}circle"))
 
 
+def test_plot_ascii_empty_range_prints_nothing(capsys):
+    assert run_cli(capsys, "plot", "--format", "ascii", "--from", "5", "--to", "4") == (0, "", "")
+
+
 def test_plot_ascii_golden(capsys):
     code, out, _ = run_cli(
         capsys, "plot", "--family", "a", "--m", "1", "--i", "2", "--from", "0", "--to", "10",
@@ -492,6 +496,13 @@ def test_unwritable_output_exits_three(capsys, tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run_cli(capsys, "seq", "--out", str(target))
     assert code == 3
+    assert "cannot write" in err
+
+
+def test_verify_unwritable_report_exits_three(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "report.txt"
+    code, out, err = run_cli(capsys, "verify", "--suite", "unit-interval", "--b-span", "5", "--out", str(target))
+    assert (code, out) == (3, "")
     assert "cannot write" in err
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import mpmath as mp
 import pytest
@@ -212,6 +213,17 @@ def test_cross_unit_arithmetic_raises(golden, minus3):
     with pytest.raises(UnitMismatch):
         golden.element(1, 0) < minus3.element(1, 0)
     assert golden.element(1, 2) != minus3.element(1, 2)
+
+
+def test_foreign_operands_are_refused(golden):
+    x = golden.element(2, 1)
+    for other in (1.5, "x"):
+        for op in (operator.add, operator.mul, operator.pow):
+            with pytest.raises(TypeError):
+                op(x, other)
+    assert (x == "x") is False
+    with pytest.raises(TypeError):
+        x < 1.5
 
 
 @given(unit_st, coord, coord, coord, coord)

@@ -118,6 +118,11 @@ def test_constructor_errors():
         QuadraticUnit(Family.MINUS, 2)
     with pytest.raises(DomainError, match="family a requires m >= 1, got m=0"):
         QuadraticUnit(family=Family.PLUS, m=0)
+    for m in (2.0, "3", None):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make_unit("a", m)
+    # an integer-like m is stored as the plain int it stands for
+    assert make_unit("a", True) == GOLDEN and repr(make_unit("a", True)) == UNIT_REPR
     with pytest.raises(TypeError):
         ZBeta(1, 2)
     with pytest.raises(TypeError):

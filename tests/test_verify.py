@@ -10,6 +10,7 @@ from beattymatch import (
     beatty,
     brute_force_mismatches,
     cli,
+    cutproject,
     discrepancy,
     is_mismatch,
     make_unit,
@@ -17,7 +18,7 @@ from beattymatch import (
     verify,
 )
 from beattymatch.gfib import MAX_TABLE_BITS
-from beattymatch.verify import MAX_WINDOW, SUITES, default_units, render_report, run_suites
+from beattymatch.verify import MAX_WINDOW, POWER_I_MAX, SUITES, default_units, render_report, run_suites
 
 WINDOW_SUITES = ["range-law", "criterion-equivalence", "set-equivalence"]
 
@@ -309,6 +310,79 @@ def test_criterion_equivalence_fault_counts(fault_j, failures):
     }[fault_j]
     (result,) = run_suites(names=["criterion-equivalence"], units=[u], i_max=PIN_LEVELS, window=w, fault_j=fault_j)
     assert (result.checked, result.failures) == (4 * (2 * w + 1), failures)
+
+
+# ---------------------------------------------------------------- planted faults, one per check
+
+FAULT_B_SPAN = 30
+GRID_SIZE = len(default_units())
+
+
+def _run_alone(name):
+    (result,) = run_suites(names=[name], i_max=4, freq_n=100, b_span=FAULT_B_SPAN)
+    return result
+
+
+def _sigma_point_counts():
+    """(points of the sample windows, points of their beta-scaled images) over the grid."""
+    src = scaled = 0
+    for u in default_units():
+        for w in verify._sample_windows(u):
+            src += len(cutproject.cut_points(u, w, -FAULT_B_SPAN, FAULT_B_SPAN))
+            scaled += len(cutproject.cut_points(u, w.scaled_by_beta(), -FAULT_B_SPAN, FAULT_B_SPAN))
+    return src, scaled
+
+
+def test_frequency_remainder_check_fails_a_wrong_power(monkeypatch):
+    # beta**i one too large moves the remainder by 2n + 1 at every level;
+    # the exact route never reads beta**i and still passes
+    plain = verify.beta_pow
+    monkeypatch.setattr(verify, "beta_pow", lambda u, t, i: plain(u, t, i) + 1)
+    result = _run_alone("frequency")
+    assert (result.checked, result.failures) == (2 * GRID_SIZE * 4, GRID_SIZE * 4)
+
+
+def test_power_identities_fail_a_wrong_power(monkeypatch):
+    plain = verify.beta_pow
+    monkeypatch.setattr(verify, "beta_pow", lambda u, t, i: plain(u, t, i) + 1 if i == 7 else plain(u, t, i))
+    result = _run_alone("power-identities")
+    assert (result.checked, result.failures) == (GRID_SIZE * POWER_I_MAX, GRID_SIZE)
+
+
+def test_unit_interval_fails_a_missing_point(monkeypatch):
+    plain = cutproject.unit_interval_points
+    monkeypatch.setattr(cutproject, "unit_interval_points", lambda u, b_lo, b_hi: plain(u, b_lo, b_hi)[1:])
+    result = _run_alone("unit-interval")
+    assert (result.checked, result.failures) == (GRID_SIZE * 2 * FAULT_B_SPAN, GRID_SIZE)
+
+
+def test_sigma_translation_check_fails_a_wrong_translate(monkeypatch):
+    # one failure per unit, sample window and shift: every sample window holds points
+    plain = cutproject.translate
+    clean = _run_alone("sigma-identities")
+    monkeypatch.setattr(cutproject, "translate", lambda points, t: plain(points, t + 1))
+    result = _run_alone("sigma-identities")
+    assert (result.checked, result.failures) == (clean.checked, GRID_SIZE * 6 * 4)
+
+
+def test_sigma_scaling_check_fails_a_wrong_scale(monkeypatch):
+    # an image moved by 1 leaves the scaled window, whose length is below 1, and
+    # no longer equals the point its preimage came from: every point fails once
+    plain = cutproject.scale_by_conjugate
+    clean = _run_alone("sigma-identities")
+    monkeypatch.setattr(cutproject, "scale_by_conjugate",
+                        lambda u, points: [cutproject.LatticePoint(p.a + 1, p.b) for p in plain(u, points)])
+    result = _run_alone("sigma-identities")
+    assert (result.checked, result.failures) == (clean.checked, sum(_sigma_point_counts()))
+
+
+def test_sigma_preimage_check_fails_a_wrong_preimage(monkeypatch):
+    # only the points of the scaled windows are mapped back
+    plain = verify._conjugate_preimage
+    clean = _run_alone("sigma-identities")
+    monkeypatch.setattr(verify, "_conjugate_preimage", lambda u, p: plain(u, cutproject.LatticePoint(p.a + 1, p.b)))
+    result = _run_alone("sigma-identities")
+    assert (result.checked, result.failures) == (clean.checked, _sigma_point_counts()[1])
 
 
 def test_report_shape():
